@@ -2,7 +2,8 @@
 
 Subcommands: count, classes, rauzy, circuits, split, verify, search.
 Exit status: 0 on success, 1 when a verification or search found
-violations, 2 on usage errors.
+violations, 2 on usage errors, 3 when a verification found no violation
+but skipped words (an incomplete sweep).
 """
 
 from __future__ import annotations
@@ -212,7 +213,14 @@ def _report_lines(rep: verify.CheckReport) -> list[str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
+    if cfg.checkpoint_path and cfg.jobs > 1:
+        print(
+            f"circsq: warning: checkpoint {cfg.checkpoint_path} is not used with "
+            f"--jobs {cfg.jobs}; this sweep cannot be resumed",
+            file=sys.stderr,
+        )
     suite = verify.run_suite(cfg)
+    skipped = sum(len(r.skipped) for r in suite.reports)
     if args.format == "json":
         print(suite.to_json())
     elif args.format == "csv":
@@ -230,9 +238,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for rep in suite.reports:
             print("\n".join(_report_lines(rep)))
-        verdict = "all checks passed" if suite.passed else f"{suite.violations_total} violation(s)"
-        print(verdict)
-    return 0 if suite.passed else 1
+        if not suite.passed:
+            print(f"{suite.violations_total} violation(s)")
+        elif skipped:
+            print(f"incomplete: {skipped} word(s) skipped")
+        else:
+            print("all checks passed")
+    if not suite.passed:
+        return 1
+    return 3 if skipped else 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

@@ -24,7 +24,10 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 Sweeps enumerate canonical representatives (least rotation plus
 first-occurrence renaming where that is sound, renaming only for
 linear-word properties), partition by prefix when running with multiple
-jobs, and can checkpoint progress to a small line-oriented file.
+jobs, and can checkpoint progress to a small line-oriented file whose v2
+header fingerprints the config that wrote it.  Length levels, worker
+blocks, restored checkpoint levels and built-in instances are all
+:class:`CheckReport` values folded by :meth:`CheckReport.merge`.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from string import ascii_lowercase
+from typing import Callable
 
 from .rauzy import (
     CircuitCapExceeded,
@@ -72,14 +76,6 @@ __all__ = [
     "resolve_checks",
     "run_check",
     "run_suite",
-    "check_bound_5_3",
-    "check_nonprimitive_bound",
-    "check_circuit_rank",
-    "check_class_circuits",
-    "check_class_parity",
-    "check_splits",
-    "check_case_bounds",
-    "check_count_chain",
     "check_large_circuit",
     "LARGE_CIRCUIT_INSTANCES",
     "search_extremal",
@@ -100,7 +96,7 @@ CHECK_ORDER = (
     "large-circuit",
 )
 
-_CHECKPOINT_HEADER = "circsq-checkpoint v1"
+_CHECKPOINT_MAGIC = "circsq-checkpoint v2"
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +136,21 @@ def _iter_rename_canonical(k: int, n: int, prefix: str = ""):
     yield from rec(len(prefix), used)
 
 
-def _rename_prefixes(k: int, d: int) -> list[str]:
-    return list(_iter_rename_canonical(k, d))
+def _iter_stream(k: int, n: int, canonicalize: bool, necklace: bool, prefix: str = ""):
+    """Words of length ``n`` over ``k`` letters extending ``prefix``, in lex order.
 
-
-def _iter_raw(k: int, n: int, prefix: str = ""):
-    letters = ascii_lowercase[:k]
-    rest = n - len(prefix)
-    for tail in product(letters, repeat=rest):
-        yield prefix + "".join(tail)
+    Without ``canonicalize`` every word; otherwise the first-occurrence-renamed
+    words, cut to necklace representatives (least under rotation plus
+    renaming) when ``necklace`` is set.  Every sweep, worker prefix and the
+    exhaustive extremal search reads its words here.
+    """
+    if not canonicalize:
+        tails = product(ascii_lowercase[:k], repeat=n - len(prefix))
+        return (prefix + "".join(tail) for tail in tails)
+    words = _iter_rename_canonical(k, n, prefix)
+    if necklace:
+        return (w for w in words if is_necklace_canonical(w))
+    return words
 
 
 def circular_square_count(w: str) -> int:
@@ -233,6 +235,33 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.violations
 
+    def add(self, word: str, out: "_Outcome") -> None:
+        """Fold in the outcome of evaluating one word."""
+        self.words_tested += 1
+        self.violations.extend(out.violations)
+        self.flagged.extend(out.flagged)
+        if out.skipped:
+            self.skipped.append(word)
+        self._offer_witness(out.ratio, word)
+        for key, val in out.stats.items():
+            self.stats[key] = self.stats.get(key, 0) + val
+
+    def merge(self, other: "CheckReport") -> None:
+        """Fold in a report over words that come after this one's in stream order."""
+        self.words_tested += other.words_tested
+        self.violations.extend(other.violations)
+        self.flagged.extend(other.flagged)
+        self.skipped.extend(other.skipped)
+        self._offer_witness(other.max_ratio, other.witness)
+        for key, val in other.stats.items():
+            self.stats[key] = self.stats.get(key, 0) + val
+
+    def _offer_witness(self, ratio: Fraction | None, word: str | None) -> None:
+        # Only a strictly greater ratio replaces the witness, so the first
+        # witness in stream order wins and --jobs N agrees with --jobs 1.
+        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
+            self.max_ratio, self.witness = ratio, word
+
     def to_dict(self) -> dict:
         return {
             "check": self.check_id,
@@ -292,50 +321,6 @@ class _Outcome:
         self.stats: dict[str, int] = {}
 
 
-@dataclass
-class _Partial:
-    """Accumulated results for one block or one length level."""
-
-    tested: int = 0
-    violations: list[tuple[str, str]] = field(default_factory=list)
-    flagged: list[tuple[str, str]] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    best: tuple[Fraction, str] | None = None
-    stats: dict[str, int] = field(default_factory=dict)
-
-    def fold(self, word: str, out: _Outcome) -> None:
-        self.tested += 1
-        self.violations.extend(out.violations)
-        self.flagged.extend(out.flagged)
-        if out.skipped:
-            self.skipped.append(word)
-        if out.ratio is not None and (self.best is None or out.ratio > self.best[0]):
-            self.best = (out.ratio, word)
-        for key, val in out.stats.items():
-            self.stats[key] = self.stats.get(key, 0) + val
-
-    def merge(self, other: "_Partial") -> None:
-        self.tested += other.tested
-        self.violations.extend(other.violations)
-        self.flagged.extend(other.flagged)
-        self.skipped.extend(other.skipped)
-        if other.best is not None and (self.best is None or other.best[0] > self.best[0]):
-            self.best = other.best
-        for key, val in other.stats.items():
-            self.stats[key] = self.stats.get(key, 0) + val
-
-
-def _fold_partial_into_report(rep: CheckReport, part: _Partial) -> None:
-    rep.words_tested += part.tested
-    rep.violations.extend(part.violations)
-    rep.flagged.extend(part.flagged)
-    rep.skipped.extend(part.skipped)
-    if part.best is not None and (rep.max_ratio is None or part.best[0] > rep.max_ratio):
-        rep.max_ratio, rep.witness = part.best
-    for key, val in part.stats.items():
-        rep.stats[key] = rep.stats.get(key, 0) + val
-
-
 # ---------------------------------------------------------------------------
 # per-word evaluators
 
@@ -391,26 +376,39 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
     return out
 
 
-def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
-    n = len(w)
+def _class_circuit_probe(host: str):
+    """``realizes(p, order)`` against one host word.
+
+    True when the class circuit of primitive ``p`` at ``order`` is elementary
+    (``len(p)`` distinct vertices) and lies in the factor graph of ``host``.
+    The host's factor sets are built once per length, on first use: the
+    public :func:`contains_class_circuit` re-validates its arguments and
+    rebuilds them on every call, too slow for this hot path.
+    """
+    n = len(host)
     fac_cache: dict[int, set[str]] = {}
 
     def fac(m: int) -> set[str]:
         if m not in fac_cache:
-            fac_cache[m] = factors(w, m)
+            fac_cache[m] = factors(host, m)
         return fac_cache[m]
 
-    def realized(p: str, l: int, order: int) -> bool:
+    def realizes(p: str, order: int) -> bool:
         if order + 1 > n:
             return False
         ring = circular_factors(p, order)
         return (
-            len(ring) == l
+            len(ring) == len(p)
             and ring <= fac(order)
             and circular_factors(p, order + 1) <= fac(order + 1)
         )
 
+    return realizes
+
+
+def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
+    out = _Outcome()
+    realizes = _class_circuit_probe(w)
     predicted = 0
     hits = 0
     beyond = 0
@@ -418,14 +416,14 @@ def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
         p, l, t = pc.root, pc.root_length, pc.t
         predicted += t
         for i in range(1, t + 1):
-            if realized(p, l, i + l - 1):
+            if realizes(p, i + l - 1):
                 hits += 1
             else:
                 out.violations.append(
                     (w, f"class {p} (t={t}) has no small circuit at order {i + l - 1}")
                 )
         order = t + l
-        while order + 1 <= n and realized(p, l, order):
+        while realizes(p, order):
             beyond += 1
             order += 1
     out.stats["predicted"] = predicted
@@ -563,13 +561,7 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
     n = len(w)
     doubled = w + w
-    fac_cache: dict[int, set[str]] = {}
-
-    def fac(m: int) -> set[str]:
-        if m not in fac_cache:
-            fac_cache[m] = factors(doubled, m)
-        return fac_cache[m]
-
+    realizes = _class_circuit_probe(doubled)
     power_small = 0
     realized = 0
     for pc in class_decomposition(doubled).classes:
@@ -578,15 +570,7 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
             continue
         power_small += t
         for i in range(1, t + 1):
-            order = i + l - 1
-            if order + 1 > 2 * n:
-                continue
-            ring = circular_factors(p, order)
-            if (
-                len(ring) == l
-                and ring <= fac(order)
-                and circular_factors(p, order + 1) <= fac(order + 1)
-            ):
+            if realizes(p, i + l - 1):
                 realized += 1
 
     small_count = 0
@@ -617,34 +601,23 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
     return out
 
 
-_EVALUATORS = {
-    "bound-5-3": _eval_bound_5_3,
-    "bound-nonprimitive": _eval_bound_nonprimitive,
-    "circuit-rank": _eval_circuit_rank,
-    "class-circuits": _eval_class_circuits,
-    "class-parity": _eval_class_parity,
-    "splits": _eval_splits,
-    "case-bounds": _eval_case_bounds,
-    "count-chain": _eval_count_chain,
-}
-
-
 @dataclass(frozen=True)
 class _CheckDef:
+    evaluate: Callable[[str, SweepConfig], _Outcome]
     mode: str  # "necklace" or "rename"
     stream: str  # "words", "primitive" or "nonprimitive"
     parallel: bool
 
 
 _CHECK_DEFS = {
-    "bound-5-3": _CheckDef("necklace", "words", True),
-    "bound-nonprimitive": _CheckDef("necklace", "nonprimitive", False),
-    "circuit-rank": _CheckDef("rename", "words", True),
-    "class-circuits": _CheckDef("rename", "words", True),
-    "class-parity": _CheckDef("rename", "words", True),
-    "splits": _CheckDef("necklace", "primitive", False),
-    "case-bounds": _CheckDef("necklace", "primitive", True),
-    "count-chain": _CheckDef("necklace", "primitive", True),
+    "bound-5-3": _CheckDef(_eval_bound_5_3, "necklace", "words", True),
+    "bound-nonprimitive": _CheckDef(_eval_bound_nonprimitive, "necklace", "nonprimitive", False),
+    "circuit-rank": _CheckDef(_eval_circuit_rank, "rename", "words", True),
+    "class-circuits": _CheckDef(_eval_class_circuits, "rename", "words", True),
+    "class-parity": _CheckDef(_eval_class_parity, "rename", "words", True),
+    "splits": _CheckDef(_eval_splits, "necklace", "primitive", False),
+    "case-bounds": _CheckDef(_eval_case_bounds, "necklace", "primitive", True),
+    "count-chain": _CheckDef(_eval_count_chain, "necklace", "primitive", True),
 }
 
 
@@ -658,10 +631,7 @@ def _iter_nonprimitive(k: int, n: int, canonicalize: bool) -> list[str]:
         if n % l:
             continue
         e = n // l
-        source = _iter_rename_canonical(k, l) if canonicalize else _iter_raw(k, l)
-        for u in source:
-            if canonicalize and not is_necklace_canonical(u):
-                continue
+        for u in _iter_stream(k, l, canonicalize, necklace=True):
             if is_primitive(u):
                 words.add(u * e)
     return sorted(words)
@@ -671,20 +641,11 @@ def _stream_items(check_id: str, cfg: SweepConfig, n: int, prefix: str):
     cdef = _CHECK_DEFS[check_id]
     k = cfg.alphabet_size
     if cdef.stream == "nonprimitive":
-        yield from _iter_nonprimitive(k, n, cfg.canonicalize)
-        return
-    if not cfg.canonicalize:
-        base = _iter_raw(k, n, prefix)
-        necklace = False
-    else:
-        base = _iter_rename_canonical(k, n, prefix)
-        necklace = cdef.mode == "necklace"
-    for w in base:
-        if necklace and not is_necklace_canonical(w):
-            continue
-        if cdef.stream == "primitive" and not is_primitive(w):
-            continue
-        yield w
+        return _iter_nonprimitive(k, n, cfg.canonicalize)
+    words = _iter_stream(k, n, cfg.canonicalize, cdef.mode == "necklace", prefix)
+    if cdef.stream == "primitive":
+        return filter(is_primitive, words)
+    return words
 
 
 def _blocks(check_id: str, cfg: SweepConfig, n: int) -> list[str]:
@@ -695,18 +656,7 @@ def _blocks(check_id: str, cfg: SweepConfig, n: int) -> list[str]:
     depth = 1
     while k**depth < 4 * cfg.jobs and depth < n - 1:
         depth += 1
-    if cfg.canonicalize:
-        return _rename_prefixes(k, depth)
-    return ["".join(t) for t in product(ascii_lowercase[:k], repeat=depth)]
-
-
-def _run_block(args: tuple[str, SweepConfig, int, str]) -> _Partial:
-    check_id, cfg, n, prefix = args
-    evaluate = _EVALUATORS[check_id]
-    part = _Partial()
-    for w in _stream_items(check_id, cfg, n, prefix):
-        part.fold(w, evaluate(w, cfg))
-    return part
+    return list(_iter_stream(k, depth, cfg.canonicalize, necklace=False))
 
 
 # ---------------------------------------------------------------------------
@@ -714,122 +664,110 @@ def _run_block(args: tuple[str, SweepConfig, int, str]) -> _Partial:
 
 
 class _Checkpoint:
-    """Append-only progress file; one record line per (check, k, n) level.
+    """One check's view of an append-only progress file: a header, then level records.
 
-    Lines: a header, then ``R check k n {json}`` progress records (the last
-    one per key wins) and ``V``/``F``/``S`` lines replaying violations,
-    flags, and skips.  I/O problems are counted and silence further writes;
-    the sweep itself continues.
+    The header ``circsq-checkpoint v2 {json}`` fingerprints the config fields
+    that change what a level holds (``canonicalize``, ``circuit_cap``); a file
+    with any other header, v1 included, is neither reused nor appended to.
+    Each ``R check k n {json}`` record is a whole serialized level plus its
+    last finished word and whether it is done.  The last record per key wins,
+    so a sweep killed mid-write resumes to the uninterrupted report.  The file
+    is read once and written through one handle flushed per record; I/O
+    problems are counted and silence further writes, and the sweep continues.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, check_id: str, cfg: SweepConfig) -> None:
+        self.path = cfg.checkpoint_path
+        self.check_key = (check_id, cfg.alphabet_size)
+        fingerprint = {"canonicalize": cfg.canonicalize, "circuit_cap": cfg.circuit_cap}
+        self.header = f"{_CHECKPOINT_MAGIC} {json.dumps(fingerprint, sort_keys=True)}"
         self.records: dict[tuple[str, int, int], dict] = {}
-        self.extras: dict[tuple[str, int, int], list[tuple[str, str, str]]] = {}
         self.io_errors = 0
+        self._fh = None
         self._disabled = False
+        # How the first write opens the file and what it writes ahead of the
+        # first record: a whole new file unless _load finds a usable one.
+        self._opening = ("w", self.header + "\n")
         self._load()
 
     def _load(self) -> None:
         try:
             with open(self.path, encoding="ascii") as fh:
-                lines = fh.read().splitlines()
+                text = fh.read()
         except FileNotFoundError:
             return
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             self.io_errors += 1
+            self._disabled = True
             return
-        if not lines or lines[0] != _CHECKPOINT_HEADER:
+        if (self.header + "\n").startswith(text):
+            return  # empty, or cut inside its header: no record was ever written
+        lines = text.splitlines()
+        if lines[0] != self.header:
             self.io_errors += 1
+            self._disabled = True
             return
+        # A line cut before its newline must not swallow the next record.
+        self._opening = ("a", "" if text.endswith("\n") else "\n")
         for line in lines[1:]:
             parts = line.split(maxsplit=4)
-            if len(parts) != 5:
+            if len(parts) != 5 or parts[0] != "R":
                 continue
-            tag, check, k_str, n_str, payload = parts
+            _, check, k_str, n_str, payload = parts
             try:
                 key = (check, int(k_str), int(n_str))
                 data = json.loads(payload)
-            except (ValueError, json.JSONDecodeError):
-                continue
-            if tag == "R":
-                self.records[key] = data
-            elif tag in ("V", "F", "S"):
-                entry = (tag, data[0], data[1] if len(data) > 1 else "")
-                bucket = self.extras.setdefault(key, [])
-                if entry not in bucket:
-                    bucket.append(entry)
+            except ValueError:
+                continue  # a record cut short by a killed sweep
+            self.records[key] = data
 
-    def _append(self, line: str) -> None:
+    def _write(self, line: str) -> None:
         if self._disabled:
             return
         try:
-            new = False
-            try:
-                with open(self.path, encoding="ascii") as fh:
-                    has_header = fh.readline().rstrip("\n") == _CHECKPOINT_HEADER
-            except FileNotFoundError:
-                has_header = False
-                new = True
-            with open(self.path, "a", encoding="ascii") as fh:
-                if new or not has_header:
-                    if not new:
-                        self._disabled = True
-                        self.io_errors += 1
-                        return
-                    fh.write(_CHECKPOINT_HEADER + "\n")
-                fh.write(line + "\n")
+            if self._fh is None:
+                mode, lead = self._opening
+                self._fh = open(self.path, mode, encoding="ascii")
+                self._fh.write(lead)
+            self._fh.write(line + "\n")
+            # A record counts only once it is on disk: resume reads it back.
+            self._fh.flush()
         except OSError:
             self.io_errors += 1
             self._disabled = True
 
-    def state(self, key: tuple[str, int, int]) -> dict | None:
-        return self.records.get(key)
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
 
-    def restore(self, key: tuple[str, int, int]) -> tuple[_Partial, str | None]:
-        """Rebuild the stored partial result and the last finished word."""
-        data = self.records.get(key)
-        part = _Partial()
+    def restore(self, n: int, level: CheckReport) -> tuple[str | None, bool]:
+        """Load the record of length ``n`` into the empty ``level``; return (last word, done)."""
+        data = self.records.get((*self.check_key, n))
         if data is None:
-            return part, None
-        part.tested = int(data.get("tested", 0))
-        ratio = data.get("ratio")
-        witness = data.get("witness")
-        if ratio is not None and witness is not None:
-            part.best = (Fraction(ratio), witness)
-        part.stats = {k: int(v) for k, v in data.get("stats", {}).items()}
-        for tag, word, detail in self.extras.get(key, []):
-            if tag == "V":
-                part.violations.append((word, detail))
-            elif tag == "F":
-                part.flagged.append((word, detail))
-            else:
-                part.skipped.append(word)
-        return part, data.get("last")
+            return None, False
+        level.words_tested = data["tested"]
+        level.violations = [tuple(v) for v in data["violations"]]
+        level.flagged = [tuple(v) for v in data["flagged"]]
+        level.skipped = list(data["skipped"])
+        if data["ratio"] is not None:
+            level.max_ratio, level.witness = Fraction(data["ratio"]), data["witness"]
+        level.stats = dict(data["stats"])
+        return data["last"], data["done"]
 
-    def save(self, key: tuple[str, int, int], part: _Partial, last: str | None, done: bool) -> None:
-        check, k, n = key
-        payload = {
+    def save(self, n: int, level: CheckReport, last: str | None, done: bool) -> None:
+        check, k = self.check_key
+        record = {
             "done": done,
-            "tested": part.tested,
             "last": last,
-            "ratio": None if part.best is None else str(part.best[0]),
-            "witness": None if part.best is None else part.best[1],
-            "stats": part.stats,
+            "tested": level.words_tested,
+            "ratio": None if level.max_ratio is None else str(level.max_ratio),
+            "witness": level.witness,
+            "stats": level.stats,
+            "violations": level.violations,
+            "flagged": level.flagged,
+            "skipped": level.skipped,
         }
-        self._append(f"R {check} {k} {n} {json.dumps(payload, sort_keys=True)}")
-        bucket = self.extras.setdefault(key, [])
-        for tag, entries in (("V", part.violations), ("F", part.flagged)):
-            for word, detail in entries:
-                item = (tag, word, detail)
-                if item not in bucket:
-                    bucket.append(item)
-                    self._append(f"{tag} {check} {k} {n} {json.dumps([word, detail])}")
-        for word in part.skipped:
-            item = ("S", word, "")
-            if item not in bucket:
-                bucket.append(item)
-                self._append(f"S {check} {k} {n} {json.dumps([word])}")
+        self._write(f"R {check} {k} {n} {json.dumps(record, sort_keys=True)}")
 
 
 # ---------------------------------------------------------------------------
@@ -839,66 +777,65 @@ class _Checkpoint:
 _CHECKPOINT_FLUSH_EVERY = 2000
 
 
+def _run_block(
+    args: tuple[str, SweepConfig, int, str], ckpt: _Checkpoint | None = None
+) -> CheckReport:
+    """Sweep the words of length ``n`` that extend ``prefix`` into one report.
+
+    With a checkpoint (single-process sweeps, whose one block is the whole
+    level) the level resumes after its last recorded word and is recorded
+    every ``_CHECKPOINT_FLUSH_EVERY`` words and once it is done.
+    """
+    check_id, cfg, n, prefix = args
+    part = CheckReport.for_config(check_id, cfg)
+    last, done = (None, False) if ckpt is None else ckpt.restore(n, part)
+    if done:
+        return part
+    evaluate = _CHECK_DEFS[check_id].evaluate
+    for w in _stream_items(check_id, cfg, n, prefix):
+        if last is not None and w <= last:
+            continue
+        part.add(w, evaluate(w, cfg))
+        last = w
+        if ckpt is not None and part.words_tested % _CHECKPOINT_FLUSH_EVERY == 0:
+            ckpt.save(n, part, last, done=False)
+    if ckpt is not None:
+        ckpt.save(n, part, last, done=True)
+    return part
+
+
 def run_check(check_id: str, cfg: SweepConfig) -> CheckReport:
     """Run one check over the whole configured range."""
     if check_id == "large-circuit":
         return _run_large_circuit_suite(cfg)
     if check_id not in _CHECK_DEFS:
         raise ValueError(f"unknown check id {check_id!r}")
-    evaluate = _EVALUATORS[check_id]
     rep = CheckReport.for_config(check_id, cfg)
 
     ckpt: _Checkpoint | None = None
     if cfg.checkpoint_path:
         if cfg.jobs == 1:
-            ckpt = _Checkpoint(cfg.checkpoint_path)
+            ckpt = _Checkpoint(check_id, cfg)
         else:
             rep.stats["checkpoint_disabled"] = 1
 
     pool = None
     try:
         for n in range(1, cfg.max_length + 1):
-            key = (check_id, cfg.alphabet_size, n)
-            if ckpt is not None:
-                state = ckpt.state(key)
-                if state is not None and state.get("done"):
-                    stored, _ = ckpt.restore(key)
-                    _fold_partial_into_report(rep, stored)
-                    continue
-
-            level = _Partial()
-            if cfg.jobs == 1:
-                last = None
-                if ckpt is not None:
-                    level, last = ckpt.restore(key)
-                since_flush = 0
-                for w in _stream_items(check_id, cfg, n, ""):
-                    if last is not None and w <= last:
-                        continue
-                    level.fold(w, evaluate(w, cfg))
-                    last = w
-                    since_flush += 1
-                    if ckpt is not None and since_flush >= _CHECKPOINT_FLUSH_EVERY:
-                        ckpt.save(key, level, last, done=False)
-                        since_flush = 0
-                if ckpt is not None:
-                    ckpt.save(key, level, last, done=True)
-            else:
-                blocks = _blocks(check_id, cfg, n)
-                if len(blocks) == 1:
-                    level = _run_block((check_id, cfg, n, blocks[0]))
-                else:
-                    if pool is None:
-                        pool = multiprocessing.Pool(cfg.jobs)
-                    for part in pool.map(
-                        _run_block, [(check_id, cfg, n, b) for b in blocks]
-                    ):
-                        level.merge(part)
-            _fold_partial_into_report(rep, level)
+            blocks = _blocks(check_id, cfg, n)
+            if len(blocks) == 1:
+                rep.merge(_run_block((check_id, cfg, n, blocks[0]), ckpt))
+                continue
+            if pool is None:
+                pool = multiprocessing.Pool(cfg.jobs)
+            for part in pool.map(_run_block, [(check_id, cfg, n, b) for b in blocks]):
+                rep.merge(part)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+        if ckpt is not None:
+            ckpt.close()
 
     if ckpt is not None and ckpt.io_errors:
         rep.stats["checkpoint_errors"] = ckpt.io_errors
@@ -929,38 +866,6 @@ def _spot_check_canonicalization(rep: CheckReport, cfg: SweepConfig, pairs: int 
 def run_suite(cfg: SweepConfig) -> SuiteReport:
     """Run every configured check, in the canonical order."""
     return SuiteReport([run_check(cid, cfg) for cid in CHECK_ORDER if cid in cfg.checks])
-
-
-def check_bound_5_3(cfg: SweepConfig) -> CheckReport:
-    return run_check("bound-5-3", cfg)
-
-
-def check_nonprimitive_bound(cfg: SweepConfig) -> CheckReport:
-    return run_check("bound-nonprimitive", cfg)
-
-
-def check_circuit_rank(cfg: SweepConfig) -> CheckReport:
-    return run_check("circuit-rank", cfg)
-
-
-def check_class_circuits(cfg: SweepConfig) -> CheckReport:
-    return run_check("class-circuits", cfg)
-
-
-def check_class_parity(cfg: SweepConfig) -> CheckReport:
-    return run_check("class-parity", cfg)
-
-
-def check_splits(cfg: SweepConfig) -> CheckReport:
-    return run_check("splits", cfg)
-
-
-def check_case_bounds(cfg: SweepConfig) -> CheckReport:
-    return run_check("case-bounds", cfg)
-
-
-def check_count_chain(cfg: SweepConfig) -> CheckReport:
-    return run_check("count-chain", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,11 +932,7 @@ def check_large_circuit(w: str, p: str, k: int, circuit_cap: int = 1_000_000) ->
 def _run_large_circuit_suite(cfg: SweepConfig) -> CheckReport:
     rep = CheckReport.for_config("large-circuit", cfg)
     for w, p, k in LARGE_CIRCUIT_INSTANCES:
-        sub = check_large_circuit(w, p, k, cfg.circuit_cap)
-        rep.words_tested += sub.words_tested
-        rep.violations.extend(sub.violations)
-        for key, val in sub.stats.items():
-            rep.stats[key] = rep.stats.get(key, 0) + val
+        rep.merge(check_large_circuit(w, p, k, cfg.circuit_cap))
     return rep
 
 
@@ -1072,9 +973,7 @@ def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> Che
 
     if k**n <= budget:
         rep.stats["exhaustive"] = 1
-        for w in _iter_rename_canonical(k, n):
-            if not is_necklace_canonical(w):
-                continue
+        for w in _iter_stream(k, n, True, necklace=True):
             evaluations += 1
             consider(w, circular_square_count(w))
     else:

@@ -157,6 +157,31 @@ def test_verify_exit_code_tracks_violations():
     assert SuiteReport([rep]).passed is False
 
 
+def test_verify_incomplete_sweep_has_its_own_verdict(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", "circuit-rank", "--max-len", "6", "--budget", "1"
+    )
+    assert code == 3
+    assert "skipped" in out
+    assert "all checks passed" not in out
+    skipped = sum(1 for line in out.splitlines() if line.strip().startswith("skipped "))
+    assert out.splitlines()[-1] == f"incomplete: {skipped} word(s) skipped"
+
+
+def test_verify_warns_that_jobs_drop_the_checkpoint(capsys, tmp_path):
+    path = tmp_path / "progress.txt"
+    code, _, err = run_cli(
+        capsys, "verify", "--check", "bound-5-3", "--max-len", "5", "--jobs", "2",
+        "--checkpoint", str(path),
+    )
+    assert code == 0
+    assert "warning" in err and "--jobs 2" in err
+    assert not path.exists()
+    _, _, err = run_cli(capsys, "verify", "--check", "bound-5-3", "--max-len", "5",
+                        "--checkpoint", str(path))
+    assert err == ""
+
+
 def test_verify_env_checkpoint_override(capsys, tmp_path, monkeypatch):
     env_path = tmp_path / "env.ck"
     flag_path = tmp_path / "flag.ck"

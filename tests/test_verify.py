@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from circsq import verify
 from circsq.verify import (
     CHECK_ORDER,
     LARGE_CIRCUIT_INSTANCES,
@@ -24,6 +25,7 @@ from circsq.verify import _iter_nonprimitive, _iter_rename_canonical
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
 from conftest import words_over
+from dataclasses import replace
 from fractions import Fraction
 
 
@@ -282,7 +284,7 @@ def test_reports_are_deterministic():
 
 
 def test_jobs_merge_equals_single_threaded():
-    for check in ("bound-5-3", "class-parity", "case-bounds"):
+    for check in CHECK_ORDER:
         one = run_check(check, _cfg(check, 2, 7, jobs=1)).to_dict()
         two = run_check(check, _cfg(check, 2, 7, jobs=2)).to_dict()
         one["config"].pop("jobs")
@@ -297,8 +299,52 @@ def test_checkpoint_resume_is_invisible(tmp_path):
     fresh = run_check("bound-5-3", _cfg("bound-5-3", 2, 8))
     assert resumed.to_dict() == fresh.to_dict()
     lines = open(path).read().splitlines()
-    assert lines[0] == "circsq-checkpoint v1"
+    assert lines[0] == 'circsq-checkpoint v2 {"canonicalize": true, "circuit_cap": 1000000}'
     assert any(line.startswith("R bound-5-3 2 8") for line in lines)
+
+
+def test_torn_checkpoint_resumes_to_the_uninterrupted_report(tmp_path, monkeypatch):
+    # A budget of one circuit skips words at every level, and small flush
+    # batches write several records per level, so the cuts below fall inside
+    # the header and between and inside records that carry skipped words.
+    monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", 5)
+    cfg = _cfg("circuit-rank", 2, 8, circuit_cap=1)
+    whole = tmp_path / "whole.txt"
+    run_suite(replace(cfg, checkpoint_path=str(whole)))
+    expected = run_suite(cfg).to_json()
+    text = whole.read_text()
+    lines = text.splitlines(keepends=True)
+    cuts = []
+    offset = 0
+    for line in lines:
+        cuts.append(offset + len(line) // 2)  # inside the line
+        offset += len(line)
+        cuts.append(offset)  # after the line
+    assert cuts[-1] == len(text) and len(lines) > 20
+    torn = tmp_path / "torn.txt"
+    for cut in cuts:
+        torn.write_text(text[:cut])
+        resumed = run_suite(replace(cfg, checkpoint_path=str(torn)))
+        assert resumed.to_json() == expected, (cut, text[:cut].splitlines()[-1:])
+        # the file the resumed sweep left behind resumes just as well
+        again = run_suite(replace(cfg, checkpoint_path=str(torn)))
+        assert again.to_json() == expected, cut
+
+
+def test_checkpoint_from_another_config_is_not_reused(tmp_path):
+    path = tmp_path / "progress.txt"
+    run_check("bound-5-3", _cfg("bound-5-3", 2, 10, checkpoint_path=str(path)))
+    written = path.read_text()
+    raw = _cfg("bound-5-3", 2, 10, canonicalize=False, checkpoint_path=str(path))
+    rep = run_check("bound-5-3", raw)
+    assert rep.words_tested == 2046  # every binary word of length 1..10
+    assert rep.stats["checkpoint_errors"] == 1
+    assert path.read_text() == written  # neither reused nor appended to
+    path.write_text("circsq-checkpoint v1\nR bound-5-3 2 1 {}\n")
+    rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 4, checkpoint_path=str(path)))
+    assert rep.words_tested == 9
+    assert rep.stats["checkpoint_errors"] == 1
+    assert path.read_text() == "circsq-checkpoint v1\nR bound-5-3 2 1 {}\n"
 
 
 def test_checkpoint_rerun_skips_but_reports_identically(tmp_path):
@@ -322,6 +368,12 @@ def test_checkpoint_disabled_with_jobs(tmp_path):
     rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 5, checkpoint_path=path, jobs=2))
     assert rep.stats.get("checkpoint_disabled") == 1
     assert not os.path.exists(path)
+
+
+def test_benchmark_hooks_stay_public():
+    # the per-layer benchmark wraps exactly these names from outside
+    for name in ("run_check", "run_suite", "circular_square_count", "is_necklace_canonical"):
+        assert name in verify.__all__, name
 
 
 def test_report_json_roundtrip():
