@@ -115,7 +115,12 @@ def _cmd_rauzy(args: argparse.Namespace) -> int:
 
 def _cmd_circuits(args: argparse.Namespace) -> int:
     g = _graph_for(args)
-    circuits = rauzy.enumerate_elementary_circuits(g, args.budget)
+    if args.budget < 1:
+        raise _UsageError("--budget must be at least 1")
+    try:
+        circuits = rauzy.enumerate_elementary_circuits(g, args.budget)
+    except rauzy.CircuitCapExceeded as exc:
+        raise _UsageError(f"{exc}; raise --budget") from exc
     vectors = [rauzy.vector_cycle(c, g) for c in circuits]
     chi = rauzy.cyclomatic_number(g)
     rank = rauzy.independent_rank(vectors)
@@ -250,7 +255,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    rep = verify.search_extremal(args.max_len, args.alphabet, args.budget, args.seed)
+    try:
+        rep = verify.search_extremal(args.max_len, args.alphabet, args.budget, args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     if args.format == "json":
         _emit_json(rep.to_dict())
     elif args.format == "csv":

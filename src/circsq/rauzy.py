@@ -161,54 +161,6 @@ def circuit_root(c: Circuit) -> str:
     return spelled[: c.length]
 
 
-def _strongly_connected_components(nodes: list[str], adj: dict[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan; deterministic given node and adjacency order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            pushed = False
-            for u in it:
-                if u not in index:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(adj[u])))
-                    pushed = True
-                    break
-                if u in on_stack:
-                    low[v] = min(low[v], index[u])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
 def _unblock(v: str, blocked: set[str], blocked_by: dict[str, set[str]]) -> None:
     queue = {v}
     while queue:
@@ -222,31 +174,24 @@ def _unblock(v: str, blocked: set[str], blocked_by: dict[str, set[str]]) -> None
 def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
     """All elementary directed circuits of ``g``, each reported once.
 
-    Johnson's blocked search, run per start vertex in lexicographic order so
-    each circuit is found from its least vertex.  Raises
+    Johnson's blocked search from each start vertex in lexicographic order,
+    skipping successors below the start, so each circuit is found from its
+    least vertex.  There is no SCC pass: Johnson needs it only for his time
+    bound.  A vertex that cannot reach the start is visited once, closes no
+    circuit and stays blocked for the rest of that search.  Raises
     :class:`CircuitCapExceeded` when more than ``cap`` circuits show up.
     """
     succ = g.successors()
-    verts = sorted(g.vertices)
     found: list[list[str]] = []
 
-    for s in verts:
-        allowed = {v for v in verts if v >= s}
-        adj = {v: [u for u in succ[v] if u in allowed] for v in allowed}
-        comp = next(c for c in _strongly_connected_components(sorted(allowed), adj) if s in c)
-        compset = set(comp)
-        if len(compset) == 1 and s not in adj[s]:
-            continue
-        local = {v: [u for u in adj[v] if u in compset] for v in compset}
-
+    for s in sorted(g.vertices):
         path = [s]
         blocked = {s}
         closed: set[str] = set()
         blocked_by: dict[str, set[str]] = {}
-        frames = [(s, iter(local[s]))]
+        frames = [(s, iter(succ[s]))]
         while frames:
             v, it = frames[-1]
-            advanced = False
             for u in it:
                 if u == s:
                     found.append(path[:])
@@ -255,22 +200,20 @@ def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP)
                             f"graph of order {g.order} has more than {cap} elementary circuits"
                         )
                     closed.update(path)
-                elif u not in blocked:
+                elif u > s and u not in blocked:
                     path.append(u)
                     blocked.add(u)
                     closed.discard(u)
-                    frames.append((u, iter(local[u])))
-                    advanced = True
+                    frames.append((u, iter(succ[u])))
                     break
-            if advanced:
-                continue
-            if v in closed:
-                _unblock(v, blocked, blocked_by)
-            else:
-                for u in local[v]:
-                    blocked_by.setdefault(u, set()).add(v)
-            frames.pop()
-            path.pop()
+            else:  # every successor of v is done: retreat
+                if v in closed:
+                    _unblock(v, blocked, blocked_by)
+                else:
+                    for u in succ[v]:
+                        blocked_by.setdefault(u, set()).add(v)
+                frames.pop()
+                path.pop()
 
     circuits = []
     for vs in found:

@@ -24,7 +24,7 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 Sweeps enumerate canonical representatives (least rotation plus
 first-occurrence renaming where that is sound, renaming only for
 linear-word properties), partition by prefix when running with multiple
-jobs, and can checkpoint progress to a small line-oriented file whose v2
+jobs, and can checkpoint progress to a small line-oriented file whose v3
 header fingerprints the config that wrote it.  Length levels, worker
 blocks, restored checkpoint levels and built-in instances are all
 :class:`CheckReport` values folded by :meth:`CheckReport.merge`.
@@ -96,7 +96,8 @@ CHECK_ORDER = (
     "large-circuit",
 )
 
-_CHECKPOINT_MAGIC = "circsq-checkpoint v2"
+_CHECKPOINT_MAGIC = "circsq-checkpoint v3"
+_CHECKPOINT_LISTS = ("violations", "flagged", "skipped")
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +360,13 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
         except CircuitCapExceeded:
             out.skipped = True
             return out
-        small = [c for c in circuits if c.length <= i]
+        vectors = [vector_cycle(c, g) for c in circuits]
+        small = [v for c, v in zip(circuits, vectors) if c.length <= i]
         sc_total += len(small)
-        if small:
-            vectors = [vector_cycle(c, g) for c in small]
-            if independent_rank(vectors) != len(small):
-                out.violations.append((w, f"small circuits at order {i} are dependent"))
-        if circuits:
-            all_rank = independent_rank([vector_cycle(c, g) for c in circuits])
-            if all_rank > cyclomatic_number(g):
-                out.violations.append((w, f"circuit rank exceeds chi at order {i}"))
+        if small and independent_rank(small) != len(small):
+            out.violations.append((w, f"small circuits at order {i} are dependent"))
+        if circuits and independent_rank(vectors) > cyclomatic_number(g):
+            out.violations.append((w, f"circuit rank exceeds chi at order {i}"))
     bound = n - len(set(w))
     if sc_total > bound:
         out.violations.append((w, f"sc={sc_total} exceeds n-|alphabet|={bound}"))
@@ -666,14 +664,17 @@ def _blocks(check_id: str, cfg: SweepConfig, n: int) -> list[str]:
 class _Checkpoint:
     """One check's view of an append-only progress file: a header, then level records.
 
-    The header ``circsq-checkpoint v2 {json}`` fingerprints the config fields
+    The header ``circsq-checkpoint v3 {json}`` fingerprints the config fields
     that change what a level holds (``canonicalize``, ``circuit_cap``); a file
-    with any other header, v1 included, is neither reused nor appended to.
-    Each ``R check k n {json}`` record is a whole serialized level plus its
-    last finished word and whether it is done.  The last record per key wins,
-    so a sweep killed mid-write resumes to the uninterrupted report.  The file
-    is read once and written through one handle flushed per record; I/O
-    problems are counted and silence further writes, and the sweep continues.
+    with any other header, v1 and v2 included, is neither reused nor appended
+    to.  Each ``R check k n {json}`` record holds the level's counters, stats,
+    witness, last finished word and whether it is done, plus only the
+    ``violations``/``flagged``/``skipped`` entries added since the level's
+    previous record.  The last valid record per key wins and the lists of all
+    valid records of the key are concatenated in file order, so a sweep killed
+    mid-write resumes to the uninterrupted report.  The file is read once and
+    written through one handle flushed per record; I/O problems are counted
+    and silence further writes, and the sweep continues.
     """
 
     def __init__(self, check_id: str, cfg: SweepConfig) -> None:
@@ -682,6 +683,8 @@ class _Checkpoint:
         fingerprint = {"canonicalize": cfg.canonicalize, "circuit_cap": cfg.circuit_cap}
         self.header = f"{_CHECKPOINT_MAGIC} {json.dumps(fingerprint, sort_keys=True)}"
         self.records: dict[tuple[str, int, int], dict] = {}
+        # Per length, how many entries of each list the file already holds.
+        self._saved: dict[int, dict[str, int]] = {}
         self.io_errors = 0
         self._fh = None
         self._disabled = False
@@ -719,6 +722,11 @@ class _Checkpoint:
                 data = json.loads(payload)
             except ValueError:
                 continue  # a record cut short by a killed sweep
+            prev = self.records.get(key)
+            if prev is not None:
+                for name in _CHECKPOINT_LISTS:
+                    prev[name].extend(data[name])
+                    data[name] = prev[name]
             self.records[key] = data
 
     def _write(self, line: str) -> None:
@@ -752,6 +760,7 @@ class _Checkpoint:
         if data["ratio"] is not None:
             level.max_ratio, level.witness = Fraction(data["ratio"]), data["witness"]
         level.stats = dict(data["stats"])
+        self._saved[n] = {name: len(data[name]) for name in _CHECKPOINT_LISTS}
         return data["last"], data["done"]
 
     def save(self, n: int, level: CheckReport, last: str | None, done: bool) -> None:
@@ -763,10 +772,12 @@ class _Checkpoint:
             "ratio": None if level.max_ratio is None else str(level.max_ratio),
             "witness": level.witness,
             "stats": level.stats,
-            "violations": level.violations,
-            "flagged": level.flagged,
-            "skipped": level.skipped,
         }
+        saved = self._saved.setdefault(n, dict.fromkeys(_CHECKPOINT_LISTS, 0))
+        for name in _CHECKPOINT_LISTS:
+            entries = getattr(level, name)
+            record[name] = entries[saved[name] :]
+            saved[name] = len(entries)
         self._write(f"R {check} {k} {n} {json.dumps(record, sort_keys=True)}")
 
 

@@ -3,7 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import circsq
 from circsq.cli import main
 
 
@@ -78,6 +84,19 @@ def test_circuits_text(capsys):
     assert code == 0
     assert "2 elementary circuits" in out
     assert "rank=2" in out and "chi=2" in out
+
+
+def test_circuits_budget_errors_are_usage_errors(capsys):
+    code, out, err = run_cli(capsys, "circuits", "abacabacabac", "--order", "1", "--budget", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("circsq: error: ") and err.rstrip().endswith("raise --budget")
+    for budget in ("0", "-3"):
+        code, _, err = run_cli(capsys, "circuits", "abacabacabac", "--order", "1",
+                               "--budget", budget)
+        assert code == 2
+        assert err == "circsq: error: --budget must be at least 1\n"
+    code, _, _ = run_cli(capsys, "circuits", "abacabacabac", "--order", "1", "--budget", "2")
+    assert code == 0
 
 
 def test_split_text(capsys):
@@ -196,6 +215,47 @@ def test_verify_env_checkpoint_override(capsys, tmp_path, monkeypatch):
     assert not flag_path.exists()
 
 
+def _holds_open_record(path: Path, key: str) -> bool:
+    """True when ``path`` has a whole record line for ``key`` with ``"done": false``."""
+    try:
+        lines = path.read_text().split("\n")[:-1]  # drop a line still being written
+    except FileNotFoundError:
+        return False
+    return any(line.startswith(key) and '"done": false' in line for line in lines)
+
+
+def test_killed_sweep_resumes_to_the_uninterrupted_report(capsys, tmp_path, monkeypatch):
+    # One real child sweep is killed partway through its last level, right
+    # after a periodic record; the same command then finishes it in-process.
+    monkeypatch.delenv("CIRCSQ_CHECKPOINT", raising=False)
+    path = tmp_path / "progress.txt"
+    base = ["verify", "--check", "circuit-rank", "--alphabet", "3", "--max-len", "11",
+            "--budget", "1", "--format", "json"]
+    argv = [*base, "--checkpoint", str(path)]
+    src = str(Path(circsq.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "circsq", *argv], env=env, stdout=subprocess.DEVNULL
+    )
+    try:
+        deadline = time.monotonic() + 300
+        while not _holds_open_record(path, "R circuit-rank 3 11 "):
+            assert child.poll() is None, "the sweep ended before it could be killed"
+            assert time.monotonic() < deadline, "no record for length 11 in time"
+            time.sleep(0.005)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+    left = path.read_text()
+    assert '"done": true' not in left.split("R circuit-rank 3 11 ", 1)[1]
+    resumed = run_cli(capsys, *argv)
+    assert path.read_text().startswith(left)  # appended to, not rewritten
+    fresh = run_cli(capsys, *base)
+    assert resumed[0] == 3
+    assert resumed[:2] == fresh[:2]
+
+
 def test_verify_jobs_flag_matches_single_process(capsys):
     args = ["verify", "--check", "bound-5-3", "--alphabet", "2", "--max-len", "7",
             "--format", "json"]
@@ -231,3 +291,11 @@ def test_search_json_roundtrip(capsys):
     data = json.loads(out)
     assert data["check"] == "search"
     assert data["passed"] is True
+
+
+def test_search_argument_errors_are_usage_errors(capsys):
+    for bad in (["--max-len", "3", "--alphabet", "30"], ["--max-len", "0"],
+                ["--max-len", "3", "--budget", "0"]):
+        code, out, err = run_cli(capsys, "search", *bad)
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("circsq: error: ") and "Traceback" not in err, bad

@@ -114,22 +114,36 @@ def test_enumerate_circuits_matches_naive_on_random_subgraphs():
     from itertools import product as iproduct
 
     rng = random.Random(424242)
-    for _ in range(400):
-        k = rng.randint(1, 3)
-        order = rng.randint(1, 3)
+
+    def check(k, order, p):
         letters = "abc"[:k]
         pool = ["".join(t) for t in iproduct(letters, repeat=order + 1)]
-        edges = tuple(e for e in pool if rng.random() < 0.45)
+        edges = tuple(e for e in pool if rng.random() < p)
         vertices = frozenset("".join(t) for t in iproduct(letters, repeat=order))
         g = RauzyGraph(order, vertices, edges)
         got = {c.edges for c in enumerate_elementary_circuits(g)}
         assert got == naive_circuits(g), edges
+
+    for _ in range(400):
+        check(rng.randint(1, 3), rng.randint(1, 3), 0.45)
+    # sparse graphs leave many vertices that cannot reach the start vertex
+    for _ in range(400):
+        check(rng.randint(1, 3), rng.randint(1, 3), rng.uniform(0.2, 0.3))
+    for _ in range(200):
+        check(2, 4, rng.uniform(0.2, 0.6))
 
 
 def test_circuit_cap():
     g = build_rauzy_graph(P3, 1)  # two circuits
     with pytest.raises(CircuitCapExceeded):
         enumerate_elementary_circuits(g, cap=1)
+    # a graph with exactly cap circuits returns all of them; cap - 1 raises
+    de_bruijn = build_rauzy_graph("aaaabaabbababbbbaaa", 3)  # every binary word of length 4
+    for g in (build_rauzy_graph(P3, 1), de_bruijn):
+        cap = len(naive_circuits(g))
+        assert {c.edges for c in enumerate_elementary_circuits(g, cap)} == naive_circuits(g)
+        with pytest.raises(CircuitCapExceeded):
+            enumerate_elementary_circuits(g, cap=cap - 1)
 
 
 def test_circuit_normalization_and_validation():

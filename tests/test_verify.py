@@ -299,7 +299,7 @@ def test_checkpoint_resume_is_invisible(tmp_path):
     fresh = run_check("bound-5-3", _cfg("bound-5-3", 2, 8))
     assert resumed.to_dict() == fresh.to_dict()
     lines = open(path).read().splitlines()
-    assert lines[0] == 'circsq-checkpoint v2 {"canonicalize": true, "circuit_cap": 1000000}'
+    assert lines[0] == 'circsq-checkpoint v3 {"canonicalize": true, "circuit_cap": 1000000}'
     assert any(line.startswith("R bound-5-3 2 8") for line in lines)
 
 
@@ -340,11 +340,17 @@ def test_checkpoint_from_another_config_is_not_reused(tmp_path):
     assert rep.words_tested == 2046  # every binary word of length 1..10
     assert rep.stats["checkpoint_errors"] == 1
     assert path.read_text() == written  # neither reused nor appended to
-    path.write_text("circsq-checkpoint v1\nR bound-5-3 2 1 {}\n")
-    rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 4, checkpoint_path=str(path)))
-    assert rep.words_tested == 9
-    assert rep.stats["checkpoint_errors"] == 1
-    assert path.read_text() == "circsq-checkpoint v1\nR bound-5-3 2 1 {}\n"
+    v2 = (
+        'circsq-checkpoint v2 {"canonicalize": true, "circuit_cap": 1000000}\n'
+        'R bound-5-3 2 1 {"done": true, "flagged": [], "last": "a", "ratio": "0", '
+        '"skipped": [], "stats": {}, "tested": 7, "violations": [], "witness": "a"}\n'
+    )
+    for old in ("circsq-checkpoint v1\nR bound-5-3 2 1 {}\n", v2):
+        path.write_text(old)
+        rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 4, checkpoint_path=str(path)))
+        assert rep.words_tested == 9
+        assert rep.stats["checkpoint_errors"] == 1
+        assert path.read_text() == old
 
 
 def test_checkpoint_rerun_skips_but_reports_identically(tmp_path):
