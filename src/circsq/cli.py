@@ -43,7 +43,7 @@ def _emit_csv(rows: list[list], header: list[str]) -> None:
 def _cmd_count(args: argparse.Namespace) -> int:
     w = _word_arg(args.word)
     if args.circular:
-        ss = squares.distinct_squares_circular(words.CircularWord(w))
+        ss = squares.distinct_squares_circular_via_doubling(words.CircularWord(w))
         label = f"[{w}]"
     else:
         ss = squares.distinct_squares(w)
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-len", type=int, default=8)
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=1_000_000,
+    p_verify.add_argument("--budget", type=int, default=rauzy.DEFAULT_CIRCUIT_CAP,
                           help="circuit enumeration cap per graph")
     p_verify.add_argument("--checkpoint", default=None,
                           help=f"progress file (env {_ENV_CHECKPOINT} overrides)")

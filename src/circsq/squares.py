@@ -197,7 +197,7 @@ def decomposition_report(w: str) -> dict:
         "word": w,
         "n": len(w),
         "sq": distinct_squares(w).count,
-        "sq_circular": distinct_squares_circular(CircularWord(w)).count,
+        "sq_circular": distinct_squares_circular_via_doubling(CircularWord(w)).count,
         "classes": [
             {
                 "root": pc.root,

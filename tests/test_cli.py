@@ -187,6 +187,14 @@ def test_verify_incomplete_sweep_has_its_own_verdict(capsys):
     assert out.splitlines()[-1] == f"incomplete: {skipped} word(s) skipped"
 
 
+def test_verify_large_circuit_over_budget_is_incomplete(capsys):
+    # at a budget of one circuit only aabaabaabaaba has an order over the cap
+    code, out, _ = run_cli(capsys, "verify", "--check", "large-circuit", "--budget", "1")
+    assert code == 3
+    assert "skipped aabaabaabaaba" in out
+    assert out.splitlines()[-1] == "incomplete: 1 word(s) skipped"
+
+
 def test_verify_warns_that_jobs_drop_the_checkpoint(capsys, tmp_path):
     path = tmp_path / "progress.txt"
     code, _, err = run_cli(

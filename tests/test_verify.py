@@ -290,6 +290,14 @@ def test_jobs_merge_equals_single_threaded():
         one["config"].pop("jobs")
         two["config"].pop("jobs")
         assert one == two, check
+    # every report of one fused all-check pass equals that check run alone
+    for k, n, cap in ((2, 8, 1_000_000), (2, 8, 1), (3, 6, 1_000_000), (3, 6, 1)):
+        lone = {c: run_check(c, _cfg(c, k, n, circuit_cap=cap)).to_dict() for c in CHECK_ORDER}
+        for jobs in (1, 2):
+            for rep in run_suite(SweepConfig(k, n, jobs=jobs, circuit_cap=cap)).reports:
+                fused = rep.to_dict()
+                fused["config"]["jobs"] = 1
+                assert fused == lone[rep.check_id], (k, n, cap, jobs, rep.check_id)
 
 
 def test_checkpoint_resume_is_invisible(tmp_path):
@@ -301,34 +309,43 @@ def test_checkpoint_resume_is_invisible(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == 'circsq-checkpoint v3 {"canonicalize": true, "circuit_cap": 1000000}'
     assert any(line.startswith("R bound-5-3 2 8") for line in lines)
+    # a lone check's file resumed by a suite that shares its stream
+    mixed = str(tmp_path / "mixed.txt")
+    run_check("bound-5-3", _cfg("bound-5-3", 2, 5, checkpoint_path=mixed))
+    both = frozenset({"bound-5-3", "case-bounds"})
+    resumed = run_suite(SweepConfig(2, 8, both, checkpoint_path=mixed))
+    assert resumed.to_json() == run_suite(SweepConfig(2, 8, both)).to_json()
 
 
 def test_torn_checkpoint_resumes_to_the_uninterrupted_report(tmp_path, monkeypatch):
     # A budget of one circuit skips words at every level, and small flush
     # batches write several records per level, so the cuts below fall inside
     # the header and between and inside records that carry skipped words.
+    # The second config interleaves the records of three checks of one stream.
     monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", 5)
-    cfg = _cfg("circuit-rank", 2, 8, circuit_cap=1)
-    whole = tmp_path / "whole.txt"
-    run_suite(replace(cfg, checkpoint_path=str(whole)))
-    expected = run_suite(cfg).to_json()
-    text = whole.read_text()
-    lines = text.splitlines(keepends=True)
-    cuts = []
-    offset = 0
-    for line in lines:
-        cuts.append(offset + len(line) // 2)  # inside the line
-        offset += len(line)
-        cuts.append(offset)  # after the line
-    assert cuts[-1] == len(text) and len(lines) > 20
-    torn = tmp_path / "torn.txt"
-    for cut in cuts:
-        torn.write_text(text[:cut])
-        resumed = run_suite(replace(cfg, checkpoint_path=str(torn)))
-        assert resumed.to_json() == expected, (cut, text[:cut].splitlines()[-1:])
-        # the file the resumed sweep left behind resumes just as well
-        again = run_suite(replace(cfg, checkpoint_path=str(torn)))
-        assert again.to_json() == expected, cut
+    fused = frozenset({"circuit-rank", "class-circuits", "class-parity"})
+    configs = (_cfg("circuit-rank", 2, 8, circuit_cap=1), SweepConfig(2, 7, fused, circuit_cap=1))
+    for i, cfg in enumerate(configs):
+        whole = tmp_path / f"whole{i}.txt"
+        run_suite(replace(cfg, checkpoint_path=str(whole)))
+        expected = run_suite(cfg).to_json()
+        text = whole.read_text()
+        lines = text.splitlines(keepends=True)
+        cuts = []
+        offset = 0
+        for line in lines:
+            cuts.append(offset + len(line) // 2)  # inside the line
+            offset += len(line)
+            cuts.append(offset)  # after the line
+        assert cuts[-1] == len(text) and len(lines) > 20
+        torn = tmp_path / "torn.txt"
+        for cut in cuts:
+            torn.write_text(text[:cut])
+            resumed = run_suite(replace(cfg, checkpoint_path=str(torn)))
+            assert resumed.to_json() == expected, (cut, text[:cut].splitlines()[-1:])
+            # the file the resumed sweep left behind resumes just as well
+            again = run_suite(replace(cfg, checkpoint_path=str(torn)))
+            assert again.to_json() == expected, cut
 
 
 def test_checkpoint_from_another_config_is_not_reused(tmp_path):
