@@ -21,12 +21,14 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 - ``large-circuit``: built-in high-power instances where every near-top
   order is rank-deficient without its long circuit.
 
-Sweeps enumerate canonical representatives (least rotation plus
-first-occurrence renaming where that is sound, renaming only for
-linear-word properties).  Checks that read one word stream share a pass
-over it per length and compute a shared fact once per word; several jobs
-split each level by prefix over one worker pool per suite.  A single job
-can checkpoint to a line-oriented file whose v3 header fingerprints its
+Sweeps enumerate canonical representatives: first-occurrence-renamed
+words for linear-word properties, and for circular ones the words least
+under rotation plus renaming, generated directly (FKM necklace generation
+restricted to renamed words, then a least-in-orbit test) instead of
+filtered out of the renamed words.  Checks that read one word stream share
+a pass over it per length and compute a shared fact once per word; several
+jobs split each level by prefix over one worker pool per suite.  A single
+job can checkpoint to a line-oriented file whose v3 header fingerprints its
 config.  Levels, worker blocks, restored levels and built-in instances
 are all :class:`CheckReport` values folded by :meth:`CheckReport.merge`.
 """
@@ -39,7 +41,8 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, permutations, product
+from math import factorial
 from string import ascii_lowercase
 from typing import Callable
 
@@ -63,6 +66,7 @@ from .squares import (
 )
 from .words import (
     CircularWord,
+    canonical_rotation,
     circular_factors,
     factors,
     is_primitive,
@@ -108,7 +112,10 @@ _CHECKPOINT_LISTS = ("violations", "flagged", "skipped")
 
 
 def necklace_form(w: str) -> str:
-    """Least representative under rotation plus alphabet renaming."""
+    """Least representative under rotation plus alphabet renaming.
+
+    The plain definition, kept as the oracle of the generated necklace stream.
+    """
     best = rename_by_first_occurrence(w)
     for i in range(1, len(w)):
         cand = rename_by_first_occurrence(w[i:] + w[:i])
@@ -140,21 +147,84 @@ def _iter_rename_canonical(k: int, n: int, prefix: str = ""):
     yield from rec(len(prefix), used)
 
 
+@lru_cache(maxsize=None)
+def _relabelings(m: int) -> tuple[dict[int, int], ...]:
+    """``str.translate`` tables of the non-identity permutations of the first ``m`` letters."""
+    letters = ascii_lowercase[:m]
+    return tuple(str.maketrans(letters, "".join(p)) for p in permutations(letters))[1:]
+
+
+def _is_orbit_least(w: str, m: int) -> bool:
+    """True when the renamed necklace ``w`` over its ``m`` letters is its :func:`necklace_form`.
+
+    The orbit minimum is the least rotation of some relabeling of ``w``, and
+    also the renamed form of some rotation of it; the test walks whichever set
+    is smaller, the ``m! - 1`` relabelings or the ``n - 1`` rotations, so a
+    word over many letters costs no more than the rotation scan.
+    """
+    n = len(w)
+    if factorial(m) <= n:
+        return all(canonical_rotation(w.translate(t)) >= w for t in _relabelings(m))
+    return all(rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, n))
+
+
+def _iter_necklaces(k: int, n: int, prefix: str = ""):
+    """Renamed words of length ``n`` over ``k`` letters that are their own :func:`necklace_form`.
+
+    FKM generation (Ruskey, Savage and Wang, "Generating necklaces", 1992)
+    of the prenecklaces extending ``prefix``, in lex order, where each
+    position branches only up to the first unused letter, so every word is
+    first-occurrence renamed.  A word is kept when the length ``p`` of its
+    longest Lyndon prefix divides ``n`` (it is a necklace) and no relabeling
+    of its letters has a smaller least rotation (unlabeled necklaces, as in
+    Cattell, Ruskey, Sawada, Serra and Miers, 2000).  A prefix that is not a
+    renamed prenecklace has no such extension.
+    """
+    ids = [ord(c) - ord("a") for c in prefix] or [0]  # a renamed word starts with a
+    if len(ids) > n:
+        return
+    p, used = 1, 0  # seeded from the prefix: its longest Lyndon prefix, its letters
+    for i, c in enumerate(ids):
+        if not 0 <= c <= min(used, k - 1):
+            return  # not renamed, or a letter beyond the alphabet
+        if i and c != ids[i - p]:
+            if c < ids[i - p]:
+                return  # not a prenecklace
+            p = i + 1
+        used = max(used, c + 1)
+    ids += [0] * (n - len(ids))
+
+    def rec(t: int, p: int, used: int):
+        if t == n:
+            if n % p == 0:
+                w = "".join([ascii_lowercase[c] for c in ids])
+                if _is_orbit_least(w, used):
+                    yield w
+            return
+        # repeating the Lyndon prefix keeps p; a larger letter makes ids[: t + 1] Lyndon
+        low = ids[t - p]
+        for c in range(low, min(used + 1, k)):
+            ids[t] = c
+            yield from rec(t + 1, p if c == low else t + 1, max(used, c + 1))
+
+    yield from rec(max(len(prefix), 1), p, used)
+
+
 def _iter_stream(k: int, n: int, canonicalize: bool, necklace: bool, prefix: str = ""):
     """Words of length ``n`` over ``k`` letters extending ``prefix``, in lex order.
 
     Without ``canonicalize`` every word; otherwise the first-occurrence-renamed
-    words, cut to necklace representatives (least under rotation plus
-    renaming) when ``necklace`` is set.  Every sweep, worker prefix and the
-    exhaustive extremal search reads its words here.
+    words, or, when ``necklace`` is set, the necklace representatives (least
+    under rotation plus renaming) generated directly by :func:`_iter_necklaces`.
+    Every sweep, worker prefix and the exhaustive extremal search reads its
+    words here.
     """
     if not canonicalize:
         tails = product(ascii_lowercase[:k], repeat=n - len(prefix))
         return (prefix + "".join(tail) for tail in tails)
-    words = _iter_rename_canonical(k, n, prefix)
     if necklace:
-        return (w for w in words if is_necklace_canonical(w))
-    return words
+        return _iter_necklaces(k, n, prefix)
+    return _iter_rename_canonical(k, n, prefix)
 
 
 def circular_square_count(w: str) -> int:
@@ -825,23 +895,29 @@ def run_check(check_id: str, cfg: SweepConfig) -> CheckReport:
     return run_suite(replace(cfg, checks=frozenset({check_id}))).reports[0]
 
 
-def _spot_check_canonicalization(rep: CheckReport, cfg: SweepConfig, pairs: int = 1000) -> None:
-    """Verify on random pairs that the counted quantity is orbit-invariant.
+_SPOT_CHECK_PAIRS = 1000
+
+
+def _canonicalization_mismatches(cfg: SweepConfig) -> list[tuple[str, str]]:
+    """Random pairs on which the square count changed under rotation plus renaming.
 
     Canonical sweeps stand on the square count being identical across a
-    word's rotation and renaming orbit; a mismatch here is a violation.
+    word's rotation and renaming orbit; each mismatch is a violation of the
+    bound checks.  The pairs depend on the config alone, so a suite draws
+    them once for all its bound checks.
     """
     rng = random.Random(cfg.seed ^ 0x5EED)
     letters = ascii_lowercase[: cfg.alphabet_size]
-    for _ in range(pairs):
+    mismatches = []
+    for _ in range(_SPOT_CHECK_PAIRS):
         n = rng.randint(1, cfg.max_length)
         w = "".join(rng.choice(letters) for _ in range(n))
         rotated = w[n // 2 :] + w[: n // 2]
         table = dict(zip(letters, rng.sample(letters, len(letters))))
         transformed = "".join(table[ch] for ch in rotated)
         if circular_square_count(w) != circular_square_count(transformed):
-            rep.violations.append((w, f"count changed under rotation/renaming to {transformed}"))
-    rep.stats["canonical_pairs_checked"] = pairs
+            mismatches.append((w, f"count changed under rotation/renaming to {transformed}"))
+    return mismatches
 
 
 def run_suite(cfg: SweepConfig) -> SuiteReport:
@@ -868,13 +944,17 @@ def run_suite(cfg: SweepConfig) -> SuiteReport:
             pool.join()
         if ckpt is not None:
             ckpt.close()
+    mismatches = None
     for rep in map(reports.get, swept):
         if cfg.checkpoint_path and cfg.jobs > 1:
             rep.stats["checkpoint_disabled"] = 1
         if ckpt is not None and ckpt.io_errors:
             rep.stats["checkpoint_errors"] = ckpt.io_errors
         if cfg.canonicalize and rep.check_id in ("bound-5-3", "bound-nonprimitive"):
-            _spot_check_canonicalization(rep, cfg)
+            if mismatches is None:
+                mismatches = _canonicalization_mismatches(cfg)
+            rep.violations.extend(mismatches)
+            rep.stats["canonical_pairs_checked"] = _SPOT_CHECK_PAIRS
     if "large-circuit" in reports:
         for w, p, k in LARGE_CIRCUIT_INSTANCES:
             reports["large-circuit"].merge(check_large_circuit(w, p, k, cfg.circuit_cap))

@@ -54,6 +54,17 @@ def brute_circular_squares(w: str) -> set[str]:
     return out
 
 
+def brute_extremal(k: int, n: int) -> tuple[int, str]:
+    """The most distinct circular squares of any word of length ``n`` over ``k``
+    letters, and the lexicographically least word that has that many."""
+    best_count, best_word = -1, ""
+    for w in words_over(k, n):  # lex order, so the first word at a count is the least
+        count = len(brute_circular_squares(w))
+        if count > best_count:
+            best_count, best_word = count, w
+    return best_count, best_word
+
+
 def brute_power_factors(w: str) -> set[str]:
     found = set()
     n = len(w)

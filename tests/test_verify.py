@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -21,10 +22,10 @@ from circsq.verify import (
     run_suite,
     search_extremal,
 )
-from circsq.verify import _iter_nonprimitive, _iter_rename_canonical
+from circsq.verify import _blocks, _iter_nonprimitive, _iter_rename_canonical, _iter_stream
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
-from conftest import words_over
+from conftest import brute_extremal, words_over
 from dataclasses import replace
 from fractions import Fraction
 
@@ -56,6 +57,21 @@ def test_canonical_enumeration_covers_all_orbits():
     for n in range(1, 7):
         canon = {w for w in _iter_rename_canonical(3, n) if is_necklace_canonical(w)}
         assert {necklace_form(w) for w in words_over(3, n)} == canon
+
+
+def test_necklace_stream_matches_the_filter_oracle():
+    # the generated stream, whole and per prefix block, in the filter's order
+    for k in range(1, 5):
+        for n in range(1, 9 if k == 4 else 10):
+            oracle = [w for w in _iter_rename_canonical(k, n) if is_necklace_canonical(w)]
+            dead = ("ba", "abaa", "abcaa")  # ba is not renamed, the others no prenecklaces
+            prefixes = {"", *dead}
+            for jobs in (2, 3, 4):
+                prefixes.update(_blocks("necklace", SweepConfig(k, n, jobs=jobs), n))
+            for prefix in sorted(prefixes):
+                expected = [w for w in oracle if w.startswith(prefix)]
+                assert prefix not in dead or not expected
+                assert list(_iter_stream(k, n, True, True, prefix)) == expected, (k, n, prefix)
 
 
 def test_nonprimitive_stream():
@@ -300,6 +316,37 @@ def test_jobs_merge_equals_single_threaded():
                 assert fused == lone[rep.check_id], (k, n, cap, jobs, rep.check_id)
 
 
+def test_jobs_merge_equals_single_threaded_on_necklace_blocks():
+    # Blocks are renamed prefixes; one that is no prenecklace has no necklace
+    # to generate, like abaa at (2,8) with three jobs.
+    assert "abaa" in _blocks("necklace", SweepConfig(2, 8, jobs=3), 8)
+    necklace = frozenset({"bound-5-3", "case-bounds", "splits", "count-chain"})
+    for k, n, jobs in ((4, 7, 2), (2, 8, 3)):
+        one = run_suite(SweepConfig(k, n, necklace)).to_dict()
+        many = run_suite(SweepConfig(k, n, necklace, jobs=jobs)).to_dict()
+        for rep in many["reports"]:
+            rep["config"]["jobs"] = 1
+        assert many == one, (k, n, jobs)
+
+
+def test_spot_check_runs_once_per_suite(monkeypatch):
+    spot_calls = 0
+    count = verify.circular_square_count
+
+    def counting(w):
+        nonlocal spot_calls
+        if sys._getframe(1).f_code.co_name == "_canonicalization_mismatches":
+            spot_calls += 1
+        return count(w)
+
+    monkeypatch.setattr(verify, "circular_square_count", counting)
+    both = run_suite(SweepConfig(2, 8, frozenset({"bound-5-3", "bound-nonprimitive"})))
+    assert spot_calls == 2000  # 1000 pairs, two counts each, for both bound checks
+    for rep in both.reports:
+        assert rep.stats["canonical_pairs_checked"] == 1000
+        assert rep.to_dict() == run_check(rep.check_id, _cfg(rep.check_id, 2, 8)).to_dict()
+
+
 def test_checkpoint_resume_is_invisible(tmp_path):
     path = str(tmp_path / "progress.txt")
     run_check("bound-5-3", _cfg("bound-5-3", 2, 5, checkpoint_path=path))
@@ -427,6 +474,15 @@ def test_search_exhaustive_small():
     assert rep.stats["best_count"] == 2
     assert rep.max_ratio == Fraction(1, 2)
     assert rep.passed
+
+
+def test_exhaustive_search_matches_brute_force():
+    # the necklace stream reaches every orbit: best count and least witness agree
+    for k, top in ((2, 10), (3, 6)):
+        for n in range(1, top + 1):
+            rep = search_extremal(n, k, budget=k**n)
+            assert rep.stats["exhaustive"] == 1
+            assert (rep.stats["best_count"], rep.witness) == brute_extremal(k, n), (k, n)
 
 
 def test_search_unary():
