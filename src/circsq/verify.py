@@ -41,8 +41,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
-from math import factorial
+from itertools import chain, product
 from string import ascii_lowercase
 from typing import Callable
 
@@ -66,7 +65,6 @@ from .squares import (
 )
 from .words import (
     CircularWord,
-    canonical_rotation,
     circular_factors,
     factors,
     is_primitive,
@@ -147,25 +145,13 @@ def _iter_rename_canonical(k: int, n: int, prefix: str = ""):
     yield from rec(len(prefix), used)
 
 
-@lru_cache(maxsize=None)
-def _relabelings(m: int) -> tuple[dict[int, int], ...]:
-    """``str.translate`` tables of the non-identity permutations of the first ``m`` letters."""
-    letters = ascii_lowercase[:m]
-    return tuple(str.maketrans(letters, "".join(p)) for p in permutations(letters))[1:]
+def _is_orbit_least(w: str) -> bool:
+    """True when the renamed necklace ``w`` is its :func:`necklace_form`.
 
-
-def _is_orbit_least(w: str, m: int) -> bool:
-    """True when the renamed necklace ``w`` over its ``m`` letters is its :func:`necklace_form`.
-
-    The orbit minimum is the least rotation of some relabeling of ``w``, and
-    also the renamed form of some rotation of it; the test walks whichever set
-    is smaller, the ``m! - 1`` relabelings or the ``n - 1`` rotations, so a
-    word over many letters costs no more than the rotation scan.
+    The orbit minimum is the renamed form of some rotation of ``w``, so the
+    test renames the ``n - 1`` other rotations, whatever the alphabet.
     """
-    n = len(w)
-    if factorial(m) <= n:
-        return all(canonical_rotation(w.translate(t)) >= w for t in _relabelings(m))
-    return all(rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, n))
+    return all(rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, len(w)))
 
 
 def _iter_necklaces(k: int, n: int, prefix: str = ""):
@@ -175,10 +161,10 @@ def _iter_necklaces(k: int, n: int, prefix: str = ""):
     of the prenecklaces extending ``prefix``, in lex order, where each
     position branches only up to the first unused letter, so every word is
     first-occurrence renamed.  A word is kept when the length ``p`` of its
-    longest Lyndon prefix divides ``n`` (it is a necklace) and no relabeling
-    of its letters has a smaller least rotation (unlabeled necklaces, as in
-    Cattell, Ruskey, Sawada, Serra and Miers, 2000).  A prefix that is not a
-    renamed prenecklace has no such extension.
+    longest Lyndon prefix divides ``n`` (it is a necklace) and no rotation
+    of it renames to a smaller word (unlabeled necklaces, as in Cattell,
+    Ruskey, Sawada, Serra and Miers, 2000).  A prefix that is not a renamed
+    prenecklace has no such extension.
     """
     ids = [ord(c) - ord("a") for c in prefix] or [0]  # a renamed word starts with a
     if len(ids) > n:
@@ -198,7 +184,7 @@ def _iter_necklaces(k: int, n: int, prefix: str = ""):
         if t == n:
             if n % p == 0:
                 w = "".join([ascii_lowercase[c] for c in ids])
-                if _is_orbit_least(w, used):
+                if _is_orbit_least(w):
                     yield w
             return
         # repeating the Lyndon prefix keeps p; a larger letter makes ids[: t + 1] Lyndon

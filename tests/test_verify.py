@@ -3,7 +3,6 @@
 import json
 import os
 import random
-import sys
 
 import pytest
 
@@ -314,11 +313,8 @@ def test_jobs_merge_equals_single_threaded():
                 fused = rep.to_dict()
                 fused["config"]["jobs"] = 1
                 assert fused == lone[rep.check_id], (k, n, cap, jobs, rep.check_id)
-
-
-def test_jobs_merge_equals_single_threaded_on_necklace_blocks():
-    # Blocks are renamed prefixes; one that is no prenecklace has no necklace
-    # to generate, like abaa at (2,8) with three jobs.
+    # necklace blocks are renamed prefixes; one that is no prenecklace, like
+    # abaa at (2,8) with three jobs, generates no word
     assert "abaa" in _blocks("necklace", SweepConfig(2, 8, jobs=3), 8)
     necklace = frozenset({"bound-5-3", "case-bounds", "splits", "count-chain"})
     for k, n, jobs in ((4, 7, 2), (2, 8, 3)):
@@ -330,21 +326,28 @@ def test_jobs_merge_equals_single_threaded_on_necklace_blocks():
 
 
 def test_spot_check_runs_once_per_suite(monkeypatch):
-    spot_calls = 0
+    calls = 0
     count = verify.circular_square_count
 
     def counting(w):
-        nonlocal spot_calls
-        if sys._getframe(1).f_code.co_name == "_canonicalization_mismatches":
-            spot_calls += 1
+        nonlocal calls
+        calls += 1
         return count(w)
 
+    def counted(cfg):
+        nonlocal calls
+        calls = 0
+        verify._square_count.cache_clear()  # a word left in the memo would skip a count
+        return run_suite(cfg), calls
+
     monkeypatch.setattr(verify, "circular_square_count", counting)
-    both = run_suite(SweepConfig(2, 8, frozenset({"bound-5-3", "bound-nonprimitive"})))
-    assert spot_calls == 2000  # 1000 pairs, two counts each, for both bound checks
+    lone = {c: counted(_cfg(c, 2, 8)) for c in ("bound-5-3", "bound-nonprimitive")}
+    both, suite_calls = counted(SweepConfig(2, 8, frozenset(lone)))
+    # the 1000 spot-check pairs, two counts each, are drawn once for both checks
+    assert suite_calls == sum(n for _, n in lone.values()) - 2000
     for rep in both.reports:
         assert rep.stats["canonical_pairs_checked"] == 1000
-        assert rep.to_dict() == run_check(rep.check_id, _cfg(rep.check_id, 2, 8)).to_dict()
+        assert rep.to_dict() == lone[rep.check_id][0].reports[0].to_dict()
 
 
 def test_checkpoint_resume_is_invisible(tmp_path):
