@@ -36,7 +36,6 @@ from .squares import (
     distinct_squares_circular_via_doubling,
     odd_even_counts,
     power_factors,
-    power_factors_circular,
 )
 from .rauzy import (
     Circuit,

@@ -1,8 +1,13 @@
 """Distinct-square and power-factor counting for linear and circular words.
 
 Square detection is a deliberately naive quadratic scan; it is the oracle
-everything else is held to.  Power factors are grouped into classes keyed by
-the canonical rotation of their primitive root, split by exponent parity.
+everything else is held to.  Power factors come from a period table: one
+prefix function per start position gives the smallest period of every factor,
+and with it each power factor's primitive root and exponent, with no
+primitivity test per factor.  They are grouped into classes keyed by the
+canonical rotation of their root, split by exponent parity.  The quadratic
+routes (the rotation union for circular squares, a primitivity test on every
+factor for power factors) are kept as the oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "distinct_squares_circular",
     "distinct_squares_circular_via_doubling",
     "power_factors",
-    "power_factors_circular",
     "class_decomposition",
     "odd_even_counts",
     "decomposition_report",
@@ -91,26 +95,41 @@ def distinct_squares_circular_via_doubling(cw: CircularWord) -> SquareSet:
     return SquareSet(frozenset(found))
 
 
-def power_factors(w: str) -> set[str]:
-    """All factors of ``w`` that are integer powers ``p * k`` with ``k >= 2``.
+def _power_table(w: str) -> dict[str, tuple[str, int]]:
+    """Every power factor of ``w`` mapped to its primitive root and exponent.
 
-    A word is such a power exactly when it is not primitive.
+    For each start ``i`` one prefix-function pass over ``w[i:]`` gives the
+    longest border ``b`` of each factor ``w[i:i + m]``, so its smallest period
+    is ``p = m - b``.  The factor is a power ``u ** k`` with ``k >= 2`` exactly
+    when ``p`` divides ``m`` and ``p <= m / 2``; then ``u = w[i:i + p]`` and
+    ``k = m // p``.  ``w`` must already be validated.
     """
-    validate_word(w)
     n = len(w)
-    seen: set[str] = set()
-    for m in range(2, n + 1):
-        for i in range(n - m + 1):
-            seen.add(w[i : i + m])
-    return {f for f in seen if not is_primitive(f)}
+    table: dict[str, tuple[str, int]] = {}
+    for i in range(n - 1):
+        border = [0] * (n - i)
+        b = 0
+        for j in range(i + 1, n):
+            c = w[j]
+            while b and w[i + b] != c:
+                b = border[b - 1]
+            if w[i + b] == c:
+                b += 1
+            border[j - i] = b
+            m = j - i + 1
+            if 2 * b >= m:
+                p = m - b
+                if m % p == 0:
+                    f = w[i : j + 1]
+                    if f not in table:
+                        table[f] = (w[i : i + p], m // p)
+    return table
 
 
-def power_factors_circular(cw: CircularWord) -> set[str]:
-    """Union of :func:`power_factors` over all rotations."""
-    out: set[str] = set()
-    for v in set(cw.rotations()):
-        out |= power_factors(v)
-    return out
+def power_factors(w: str) -> set[str]:
+    """All factors of ``w`` that are integer powers ``p * k`` with ``k >= 2``."""
+    validate_word(w)
+    return set(_power_table(w))
 
 
 @dataclass(frozen=True)
@@ -139,6 +158,17 @@ class PowerClass:
             if (m in self.even) != (k % 2 == 0):
                 raise ValueError(f"{m!r} is on the wrong parity side")
 
+    @classmethod
+    def _trusted(cls, root, members, even, odd) -> PowerClass:
+        """A class built from the period table, which makes it valid by construction.
+
+        Skips ``__post_init__``: re-deriving every member's root there costs
+        more than building the class.  Only :func:`class_decomposition` uses it.
+        """
+        pc = object.__new__(cls)
+        pc.__dict__.update(root=root, members=members, even=even, odd=odd)
+        return pc
+
     @property
     def root_length(self) -> int:
         return len(self.root)
@@ -159,19 +189,22 @@ class ClassDecomposition:
 def class_decomposition(w: str) -> ClassDecomposition:
     """Partition the power factors of ``w`` by primitive-root conjugacy."""
     validate_word(w)
-    groups: dict[str, set[str]] = {}
-    parity_even: dict[str, set[str]] = {}
-    for q in power_factors(w):
-        root, k = primitive_root(q)
-        key = canonical_rotation(root)
-        groups.setdefault(key, set()).add(q)
+    keys: dict[str, str] = {}  # primitive root -> its canonical rotation
+    groups: dict[str, tuple[set[str], set[str]]] = {}  # key -> (members, even)
+    for q, (root, k) in _power_table(w).items():
+        key = keys.get(root)
+        if key is None:
+            key = keys[root] = canonical_rotation(root)
+        members, even = groups.setdefault(key, (set(), set()))
+        members.add(q)
         if k % 2 == 0:
-            parity_even.setdefault(key, set()).add(q)
+            even.add(q)
     classes = []
     for key in sorted(groups, key=lambda r: (len(r), r)):
-        members = frozenset(groups[key])
-        even = frozenset(parity_even.get(key, set()))
-        classes.append(PowerClass(key, members, even, members - even))
+        members, even = groups[key]
+        classes.append(
+            PowerClass._trusted(key, frozenset(members), frozenset(even), frozenset(members - even))
+        )
     return ClassDecomposition(w, tuple(classes))
 
 

@@ -60,15 +60,12 @@ from .rauzy import (
 from .squares import (
     class_decomposition,
     distinct_squares,
-    distinct_squares_circular_via_doubling,
     odd_even_counts,
 )
 from .words import (
-    CircularWord,
     circular_factors,
     factors,
     is_primitive,
-    primitive_root,
     rename_by_first_occurrence,
     validate_word,
 )
@@ -214,8 +211,22 @@ def _iter_stream(k: int, n: int, canonicalize: bool, necklace: bool, prefix: str
 
 
 def circular_square_count(w: str) -> int:
-    """Number of distinct squares across all rotations of ``w``."""
-    return distinct_squares_circular_via_doubling(CircularWord(w)).count
+    """Number of distinct squares across all rotations of ``w``.
+
+    These are the squares of ``w + w`` no longer than ``len(w)``.  That set is
+    the same for every rotation of ``w``, so ``w`` need not be its least
+    rotation (swept necklaces already are; :func:`search_extremal` passes
+    any word).
+    """
+    validate_word(w)
+    n = len(w)
+    doubled = w + w
+    found = set()
+    for half in range(1, n // 2 + 1):
+        for i in range(2 * (n - half) + 1):
+            if doubled[i : i + half] == doubled[i + half : i + 2 * half]:
+                found.add(doubled[i : i + 2 * half])
+    return len(found)
 
 
 # One-entry memos of facts that several checks of a stream read, word by word.
@@ -447,7 +458,9 @@ def _class_circuit_probe(host: str):
     (``len(p)`` distinct vertices) and lies in the factor graph of ``host``.
     The host's factor sets are built once per length, on first use: the
     public :func:`contains_class_circuit` re-validates its arguments and
-    rebuilds them on every call, too slow for this hot path.
+    rebuilds them on every call, too slow for this hot path.  ``p`` comes
+    from a power class, so it is a valid word; its windows of lengths
+    ``order`` and ``order + 1`` are cut from one periodic extension.
     """
     n = len(host)
     fac_cache: dict[int, set[str]] = {}
@@ -460,11 +473,13 @@ def _class_circuit_probe(host: str):
     def realizes(p: str, order: int) -> bool:
         if order + 1 > n:
             return False
-        ring = circular_factors(p, order)
+        l = len(p)
+        ext = p * ((order + 1) // l + 2)
+        ring = {ext[i : i + order] for i in range(l)}
         return (
-            len(ring) == len(p)
+            len(ring) == l
             and ring <= fac(order)
-            and circular_factors(p, order + 1) <= fac(order + 1)
+            and {ext[i : i + order + 1] for i in range(l)} <= fac(order + 1)
         )
 
     return realizes
@@ -498,10 +513,11 @@ def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
 
 
 def _exponent_levels(pc) -> dict[str, set[int]]:
+    """Exponents per conjugate root: each member is ``m[:l] ** (len(m) // l)``."""
+    l = pc.root_length
     levels: dict[str, set[int]] = {}
     for m in pc.members:
-        root, e = primitive_root(m)
-        levels.setdefault(root, set()).add(e)
+        levels.setdefault(m[:l], set()).add(len(m) // l)
     return levels
 
 

@@ -124,6 +124,12 @@ def test_empty_word_is_usage_error(capsys):
     assert "empty" in err
 
 
+def test_classes_rejects_non_ascii_word(capsys):
+    code, out, err = run_cli(capsys, "classes", "abéab")
+    assert code == 2
+    assert "ASCII" in err and not out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "count", "--bogus", "ab")
     assert code == 2

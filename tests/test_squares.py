@@ -8,6 +8,7 @@ import pytest
 from circsq.squares import (
     PowerClass,
     SquareSet,
+    _power_table,
     class_decomposition,
     decomposition_report,
     distinct_squares,
@@ -15,9 +16,15 @@ from circsq.squares import (
     distinct_squares_circular_via_doubling,
     odd_even_counts,
     power_factors,
-    power_factors_circular,
 )
-from circsq.words import CircularWord, canonical_rotation, is_primitive, rotations
+from circsq.words import (
+    CircularWord,
+    InvalidWordError,
+    canonical_rotation,
+    is_primitive,
+    primitive_root,
+    rotations,
+)
 
 from conftest import (
     brute_circular_squares,
@@ -111,12 +118,28 @@ def test_power_factors_matches_brute():
     for n in range(1, 10):
         for w in words_over(2, n):
             assert power_factors(w) == brute_power_factors(w), w
+    for n in range(1, 8):
+        for w in words_over(3, n):
+            assert power_factors(w) == brute_power_factors(w), w
 
 
-def test_power_factors_circular_examples():
-    assert power_factors_circular(CircularWord("abab")) == {"abab", "baba"}
-    assert power_factors_circular(CircularWord("abc")) == set()
-    assert power_factors_circular(CircularWord("aaa")) == {"aa", "aaa"}
+def test_power_table_roots_match_primitive_root_exhaustively():
+    # a factor missing from the table must be primitive: its own root, exponent 1
+    for k, top in ((2, 10), (3, 7)):
+        for n in range(1, top + 1):
+            for w in words_over(k, n):
+                table = _power_table(w)
+                for i in range(n):
+                    for j in range(i + 1, n + 1):
+                        f = w[i:j]
+                        assert table.get(f, (f, 1)) == primitive_root(f), (w, f)
+
+
+def test_power_entry_points_reject_invalid_words():
+    for bad in ("", "ab\u00e9ab"):
+        for fn in (power_factors, class_decomposition, decomposition_report):
+            with pytest.raises(InvalidWordError):
+                fn(bad)
 
 
 def test_class_decomposition_single_letter_run():
@@ -145,24 +168,27 @@ def test_class_decomposition_square_free_word():
 
 
 def test_class_decomposition_structure_exhaustive():
-    for n in range(1, 11):
-        for w in words_over(2, n):
-            decomp = class_decomposition(w)
-            members = set()
-            roots = []
-            total_even = 0
-            for pc in decomp.classes:
-                assert pc.even | pc.odd == pc.members
-                assert not pc.even & pc.odd
-                members |= pc.members
-                roots.append(pc.root)
-                total_even += len(pc.even)
-            assert members == power_factors(w), w
-            # roots are canonical and pairwise non-conjugate
-            assert len(set(roots)) == len(roots)
-            assert all(canonical_rotation(r) == r and is_primitive(r) for r in roots)
-            # distinct squares are exactly the even-exponent powers
-            assert total_even == distinct_squares(w).count, w
+    words = [w for n in range(1, 11) for w in words_over(2, n)]
+    words += [w for n in range(1, 8) for w in words_over(3, n)]
+    for w in words:
+        decomp = class_decomposition(w)
+        members = set()
+        roots = []
+        total_even = 0
+        for pc in decomp.classes:
+            # the validating constructor accepts what the sweep builds unchecked
+            assert PowerClass(pc.root, pc.members, pc.even, pc.odd) == pc
+            assert pc.even | pc.odd == pc.members
+            assert not pc.even & pc.odd
+            members |= pc.members
+            roots.append(pc.root)
+            total_even += len(pc.even)
+        assert members == brute_power_factors(w), w
+        # roots are canonical and pairwise non-conjugate
+        assert len(set(roots)) == len(roots)
+        assert all(canonical_rotation(r) == r and is_primitive(r) for r in roots)
+        # distinct squares are exactly the even-exponent powers
+        assert total_even == distinct_squares(w).count, w
 
 
 def test_class_parity_bounds_exhaustive():
