@@ -2,15 +2,27 @@
 
 The order-``i`` factor graph (Rauzy graph) of a word has the length-``i``
 factors as vertices and the length-``i+1`` factors as edges; an edge runs
-from its prefix to its suffix.  This module enumerates elementary circuits
-(Johnson-style, with a result cap), computes traversal vectors and their
-exact rank over the rationals, and analyses how the circuit family of a
-primitive word splits at low orders.
+from its prefix to its suffix.  A word's factor sets live in one private
+factor table per word, each length cut by slicing on first use, and every
+order's graph is built from two of its entries.  That trusted route skips
+the validation of the public :class:`RauzyGraph` constructor, and a word's
+graph is weakly connected by construction (consecutive windows are joined
+by an edge), so its independence capacity ``|E| - |V| + 1`` needs no
+search; :func:`build_rauzy_graph` validates the word and the order and then
+takes the same route.
+
+Elementary circuits come from Johnson's blocked search over integer vertex
+indices (vertices in sorted order, int successor lists, list-based blocked
+state), capped, and leave through a trusted :class:`Circuit` route: each
+starts at its least vertex and chains by construction.  The module also
+computes traversal vectors and their exact rank over the rationals, and
+analyses how the circuit family of a primitive word splits at low orders.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .words import (
@@ -73,6 +85,17 @@ class RauzyGraph:
             if e[:-1] not in self.vertices or e[1:] not in self.vertices:
                 raise ValueError(f"edge {e!r} has an endpoint outside the vertex set")
 
+    @classmethod
+    def _trusted(cls, order: int, vertices: frozenset[str], edges: tuple[str, ...]) -> RauzyGraph:
+        """A graph cut from a word's factor table, which makes it valid by construction.
+
+        Skips ``__post_init__``: ``edges`` must already be sorted and free of
+        repeats, and every edge's endpoints must be in ``vertices``.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(order=order, vertices=vertices, edges=edges)
+        return g
+
     def out_edges(self) -> dict[str, list[str]]:
         """Vertex -> outgoing edges, each list sorted."""
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
@@ -85,12 +108,48 @@ class RauzyGraph:
         return {v: [e[1:] for e in es] for v, es in self.out_edges().items()}
 
 
+class _FactorTable(dict):
+    """``table[m]``: the frozenset of length-``m`` factors of one word, cut on first use.
+
+    The word is trusted (already validated); a length above ``len(word)``
+    maps to the empty set.
+    """
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: str) -> None:
+        # No dict.__init__ call: the table is already empty, and the call
+        # costs about as much per swept word as the table saves.
+        self.word = word
+
+    def __missing__(self, m: int) -> frozenset[str]:
+        w = self.word
+        fs = self[m] = frozenset([w[i : i + m] for i in range(len(w) - m + 1)])
+        return fs
+
+
+def _factor_graph(table: _FactorTable, i: int) -> RauzyGraph:
+    """The order-``i`` factor graph of the table's word, built without re-validation."""
+    return RauzyGraph._trusted(i, table[i], tuple(sorted(table[i + 1])))
+
+
+def _factor_graphs(table: _FactorTable, orders: range) -> Iterator[tuple[int, RauzyGraph, int]]:
+    """``(order, graph, chi)`` for each order, with ``chi = |E| - |V| + 1``.
+
+    A word's factor graph is weakly connected (consecutive windows share an
+    edge), so ``chi`` is its cyclomatic number without a connectivity search.
+    """
+    for i in orders:
+        g = _factor_graph(table, i)
+        yield i, g, len(g.edges) - len(g.vertices) + 1
+
+
 def build_rauzy_graph(w: str, i: int) -> RauzyGraph:
     """Factor graph of ``w`` at order ``i`` (needs ``1 <= i <= len(w) - 1``)."""
     validate_word(w)
     if not 1 <= i <= len(w) - 1:
         raise ValueError(f"order {i} out of range 1..{len(w) - 1}")
-    return RauzyGraph(i, frozenset(factors(w, i)), tuple(sorted(factors(w, i + 1))))
+    return _factor_graph(_FactorTable(w), i)
 
 
 def is_weakly_connected(g: RauzyGraph) -> bool:
@@ -143,6 +202,17 @@ class Circuit:
         k = starts.index(min(starts))
         object.__setattr__(self, "edges", self.edges[k:] + self.edges[:k])
 
+    @classmethod
+    def _trusted(cls, edges: tuple[str, ...]) -> Circuit:
+        """A circuit from Johnson's search, valid and normalized by construction.
+
+        Skips ``__post_init__``: ``edges`` must chain, visit no vertex twice
+        and start at the least vertex.
+        """
+        c = object.__new__(cls)
+        c.__dict__["edges"] = edges
+        return c
+
     @property
     def length(self) -> int:
         return len(self.edges)
@@ -161,14 +231,14 @@ def circuit_root(c: Circuit) -> str:
     return spelled[: c.length]
 
 
-def _unblock(v: str, blocked: set[str], blocked_by: dict[str, set[str]]) -> None:
-    queue = {v}
-    while queue:
-        u = queue.pop()
-        if u in blocked:
-            blocked.discard(u)
-            queue |= blocked_by.get(u, set())
-            blocked_by.pop(u, None)
+def _unblock(v: int, blocked: list[bool], blocked_by: list[set[int]]) -> None:
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        if blocked[u]:
+            blocked[u] = False
+            todo.extend(blocked_by[u])
+            blocked_by[u].clear()
 
 
 def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
@@ -176,19 +246,27 @@ def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP)
 
     Johnson's blocked search from each start vertex in lexicographic order,
     skipping successors below the start, so each circuit is found from its
-    least vertex.  There is no SCC pass: Johnson needs it only for his time
-    bound.  A vertex that cannot reach the start is visited once, closes no
-    circuit and stays blocked for the rest of that search.  Raises
-    :class:`CircuitCapExceeded` when more than ``cap`` circuits show up.
+    least vertex.  Vertices are indexed in sorted order, so index order is
+    string order and the search state is plain lists.  There is no SCC pass:
+    Johnson needs it only for his time bound.  A vertex that cannot reach
+    the start is visited once, closes no circuit and stays blocked for the
+    rest of that search.  Circuits come out sorted by ``(length, edges)``.
+    Raises :class:`CircuitCapExceeded` when more than ``cap`` circuits show up.
     """
-    succ = g.successors()
-    found: list[list[str]] = []
+    names = sorted(g.vertices)
+    index = {v: j for j, v in enumerate(names)}
+    size = len(names)
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for e in g.edges:
+        succ[index[e[:-1]]].append(index[e[1:]])
+    found: list[list[int]] = []
 
-    for s in sorted(g.vertices):
+    for s in range(size):
         path = [s]
-        blocked = {s}
-        closed: set[str] = set()
-        blocked_by: dict[str, set[str]] = {}
+        blocked = [False] * size
+        blocked[s] = True
+        closed = [False] * size
+        blocked_by: list[set[int]] = [set() for _ in range(size)]
         frames = [(s, iter(succ[s]))]
         while frames:
             v, it = frames[-1]
@@ -199,27 +277,31 @@ def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP)
                         raise CircuitCapExceeded(
                             f"graph of order {g.order} has more than {cap} elementary circuits"
                         )
-                    closed.update(path)
-                elif u > s and u not in blocked:
+                    for x in path:
+                        closed[x] = True
+                elif u > s and not blocked[u]:
                     path.append(u)
-                    blocked.add(u)
-                    closed.discard(u)
+                    blocked[u] = True
+                    closed[u] = False
                     frames.append((u, iter(succ[u])))
                     break
             else:  # every successor of v is done: retreat
-                if v in closed:
+                if closed[v]:
                     _unblock(v, blocked, blocked_by)
                 else:
                     for u in succ[v]:
-                        blocked_by.setdefault(u, set()).add(v)
+                        blocked_by[u].add(v)
                 frames.pop()
                 path.pop()
 
-    circuits = []
+    # Each path starts at its least vertex, visits no vertex twice and joins
+    # consecutive vertices by an edge: what Circuit._trusted requires.
+    cycles = []
     for vs in found:
         r = len(vs)
-        circuits.append(Circuit(tuple(vs[j] + vs[(j + 1) % r][-1] for j in range(r))))
-    return sorted(circuits, key=lambda c: (c.length, c.edges))
+        cycles.append(tuple(names[vs[j]] + names[vs[(j + 1) % r]][-1] for j in range(r)))
+    cycles.sort(key=lambda edges: (len(edges), edges))
+    return [Circuit._trusted(edges) for edges in cycles]
 
 
 def vector_cycle(c: Circuit, g: RauzyGraph) -> tuple[int, ...]:
@@ -319,8 +401,8 @@ def small_circuit_profile(w: str, cap: int = DEFAULT_CIRCUIT_CAP) -> SmallCircui
         raise ValueError("profiles need a word of length at least 2")
     per_order = []
     total = 0
-    for i in range(1, len(w)):
-        circuits = enumerate_elementary_circuits(build_rauzy_graph(w, i), cap)
+    for i, g, _ in _factor_graphs(_FactorTable(w), range(1, len(w))):
+        circuits = enumerate_elementary_circuits(g, cap)
         cnt = sum(1 for c in circuits if c.length <= i)
         per_order.append((i, cnt))
         total += cnt

@@ -48,9 +48,9 @@ from typing import Callable
 from .rauzy import (
     DEFAULT_CIRCUIT_CAP,
     CircuitCapExceeded,
-    build_rauzy_graph,
+    _factor_graphs,
+    _FactorTable,
     circuit_root,
-    cyclomatic_number,
     decompose_split,
     enumerate_elementary_circuits,
     independent_rank,
@@ -64,7 +64,6 @@ from .squares import (
 )
 from .words import (
     circular_factors,
-    factors,
     is_primitive,
     rename_by_first_occurrence,
     validate_word,
@@ -222,8 +221,9 @@ def circular_square_count(w: str) -> int:
     n = len(w)
     doubled = w + w
     found = set()
+    # A factor of length <= n starting at i >= n equals the one starting at i - n.
     for half in range(1, n // 2 + 1):
-        for i in range(2 * (n - half) + 1):
+        for i in range(n):
             if doubled[i : i + half] == doubled[i + half : i + 2 * half]:
                 found.add(doubled[i : i + 2 * half])
     return len(found)
@@ -430,8 +430,9 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
     n = len(w)
     sc_total = 0
-    for i in range(1, n):
-        g = build_rauzy_graph(w, i)
+    for i, g, chi in _factor_graphs(_FactorTable(w), range(1, n)):
+        if chi == 0:
+            continue  # a connected graph with |E| = |V| - 1 is a tree: no circuit
         try:
             circuits = enumerate_elementary_circuits(g, cfg.circuit_cap)
         except CircuitCapExceeded:
@@ -442,7 +443,7 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
         sc_total += len(small)
         if small and independent_rank(small) != len(small):
             out.violations.append((w, f"small circuits at order {i} are dependent"))
-        if circuits and independent_rank(vectors) > cyclomatic_number(g):
+        if circuits and independent_rank(vectors) > chi:
             out.violations.append((w, f"circuit rank exceeds chi at order {i}"))
     bound = n - len(set(w))
     if sc_total > bound:
@@ -451,24 +452,18 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
     return out
 
 
-def _class_circuit_probe(host: str):
-    """``realizes(p, order)`` against one host word.
+def _class_circuit_probe(table: _FactorTable):
+    """``realizes(p, order)`` against the host word of one factor table.
 
     True when the class circuit of primitive ``p`` at ``order`` is elementary
-    (``len(p)`` distinct vertices) and lies in the factor graph of ``host``.
-    The host's factor sets are built once per length, on first use: the
-    public :func:`contains_class_circuit` re-validates its arguments and
-    rebuilds them on every call, too slow for this hot path.  ``p`` comes
+    (``len(p)`` distinct vertices) and lies in the factor graph of the host.
+    The host's factor sets come from its table, cut once per length on first
+    use: the public :func:`contains_class_circuit` re-validates its arguments
+    and rebuilds them on every call, too slow for this hot path.  ``p`` comes
     from a power class, so it is a valid word; its windows of lengths
     ``order`` and ``order + 1`` are cut from one periodic extension.
     """
-    n = len(host)
-    fac_cache: dict[int, set[str]] = {}
-
-    def fac(m: int) -> set[str]:
-        if m not in fac_cache:
-            fac_cache[m] = factors(host, m)
-        return fac_cache[m]
+    n = len(table.word)
 
     def realizes(p: str, order: int) -> bool:
         if order + 1 > n:
@@ -478,8 +473,8 @@ def _class_circuit_probe(host: str):
         ring = {ext[i : i + order] for i in range(l)}
         return (
             len(ring) == l
-            and ring <= fac(order)
-            and {ext[i : i + order + 1] for i in range(l)} <= fac(order + 1)
+            and ring <= table[order]
+            and {ext[i : i + order + 1] for i in range(l)} <= table[order + 1]
         )
 
     return realizes
@@ -487,7 +482,7 @@ def _class_circuit_probe(host: str):
 
 def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
-    realizes = _class_circuit_probe(w)
+    realizes = _class_circuit_probe(_FactorTable(w))
     predicted = 0
     hits = 0
     beyond = 0
@@ -641,7 +636,8 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
     n = len(w)
     doubled = w + w
-    realizes = _class_circuit_probe(doubled)
+    table = _FactorTable(doubled)
+    realizes = _class_circuit_probe(table)
     power_small = 0
     realized = 0
     for pc in class_decomposition(doubled).classes:
@@ -655,15 +651,16 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
 
     small_count = 0
     indep_total = 0
-    for order in range(1, n + 1):
-        g = build_rauzy_graph(doubled, order)
+    for order, g, chi in _factor_graphs(table, range(1, n + 1)):
+        indep_total += chi
+        if chi == 0:
+            continue  # a tree: no circuit
         try:
             circuits = enumerate_elementary_circuits(g, cfg.circuit_cap)
         except CircuitCapExceeded:
             out.skipped = True
             return out
         small_count += sum(1 for c in circuits if c.length <= order and 2 * c.length < n)
-        indep_total += cyclomatic_number(g)
 
     if power_small != realized:
         out.violations.append(
@@ -1011,9 +1008,8 @@ def check_large_circuit(
         seed=0,
         jobs=1,
     )
-    doubled = w + w
-    for order in range(n - l + 1, n + 1):
-        g = build_rauzy_graph(doubled, order)
+    # Johnson runs at every order, trees included: rank >= chi must fire at chi = 0.
+    for order, g, chi in _factor_graphs(_FactorTable(w + w), range(n - l + 1, n + 1)):
         try:
             circuits = enumerate_elementary_circuits(g, circuit_cap)
         except CircuitCapExceeded:
@@ -1021,7 +1017,6 @@ def check_large_circuit(
             break
         short = [c for c in circuits if 2 * c.length <= n]
         rank = independent_rank([vector_cycle(c, g) for c in short]) if short else 0
-        chi = cyclomatic_number(g)
         if rank >= chi:
             rep.violations.append(
                 (w, f"order {order}: short circuits span rank {rank} of chi {chi}")

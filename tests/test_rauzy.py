@@ -22,7 +22,8 @@ from circsq.rauzy import (
     to_dot,
     vector_cycle,
 )
-from circsq.words import is_primitive
+from circsq.rauzy import _factor_graphs, _FactorTable
+from circsq.words import factors, is_primitive
 
 from conftest import fraction_rank, naive_circuits, words_over
 
@@ -66,14 +67,17 @@ def test_weak_connectivity():
 
 
 def test_rauzy_graphs_always_weakly_connected():
-    for n in range(2, 11):
-        for w in words_over(2, n):
-            for i in range(1, n):
-                assert is_weakly_connected(build_rauzy_graph(w, i)), (w, i)
-    for n in range(2, 9):
-        for w in words_over(3, n):
-            for i in range(1, n):
-                assert is_weakly_connected(build_rauzy_graph(w, i)), (w, i)
+    # the factor table's trusted graphs equal the validated ones, and their
+    # chi needs no connectivity search; a chi of 0 means a tree, no circuit
+    for k, top in ((2, 10), (3, 8)):
+        for n in range(2, top + 1):
+            for w in words_over(k, n):
+                for i, g, chi in _factor_graphs(_FactorTable(w), range(1, n)):
+                    assert is_weakly_connected(build_rauzy_graph(w, i)), (w, i)
+                    assert g == RauzyGraph(i, factors(w, i), factors(w, i + 1)), (w, i)
+                    assert chi == cyclomatic_number(g), (w, i)
+                    if chi == 0:
+                        assert naive_circuits(g) == set(), (w, i)
 
 
 def test_cyclomatic_number_values():
@@ -99,13 +103,20 @@ def test_enumerate_circuits_handles_self_loops():
     assert [c.edges for c in circs] == [("aa",)]
 
 
+def _assert_circuits_match_naive(g, context):
+    circs = enumerate_elementary_circuits(g)
+    assert {c.edges for c in circs} == naive_circuits(g), context
+    # the trusted output route stores what the validating constructor would
+    assert all(c == Circuit(c.edges) for c in circs), context
+    keys = [(c.length, c.edges) for c in circs]
+    assert keys == sorted(keys), context
+
+
 def test_enumerate_circuits_matches_naive_exhaustively():
     for n in range(2, 8):
         for w in words_over(3, n):
             for i in range(1, n):
-                g = build_rauzy_graph(w, i)
-                got = {c.edges for c in enumerate_elementary_circuits(g)}
-                assert got == naive_circuits(g), (w, i)
+                _assert_circuits_match_naive(build_rauzy_graph(w, i), (w, i))
 
 
 def test_enumerate_circuits_matches_naive_on_random_subgraphs():
@@ -120,9 +131,7 @@ def test_enumerate_circuits_matches_naive_on_random_subgraphs():
         pool = ["".join(t) for t in iproduct(letters, repeat=order + 1)]
         edges = tuple(e for e in pool if rng.random() < p)
         vertices = frozenset("".join(t) for t in iproduct(letters, repeat=order))
-        g = RauzyGraph(order, vertices, edges)
-        got = {c.edges for c in enumerate_elementary_circuits(g)}
-        assert got == naive_circuits(g), edges
+        _assert_circuits_match_naive(RauzyGraph(order, vertices, edges), edges)
 
     for _ in range(400):
         check(rng.randint(1, 3), rng.randint(1, 3), 0.45)

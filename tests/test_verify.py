@@ -24,7 +24,7 @@ from circsq.verify import (
 from circsq.verify import _blocks, _iter_nonprimitive, _iter_rename_canonical, _iter_stream
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
-from conftest import brute_extremal, words_over
+from conftest import brute_circular_squares, brute_extremal, words_over
 from dataclasses import replace
 from fractions import Fraction
 
@@ -80,6 +80,14 @@ def test_nonprimitive_stream():
     raw = _iter_nonprimitive(2, 8, canonicalize=False)
     expected = {w for w in words_over(2, 8) if not is_primitive(w)}
     assert set(raw) == expected
+
+
+def test_circular_square_count_matches_brute_exhaustively():
+    # the count scans only the n starts of w inside w + w
+    for k, top in ((2, 12), (3, 8)):
+        for n in range(1, top + 1):
+            for w in words_over(k, n):
+                assert circular_square_count(w) == len(brute_circular_squares(w)), w
 
 
 def test_canonicalization_preserves_circular_count():
@@ -187,6 +195,33 @@ def test_count_chain_example_aab():
     out = _eval_count_chain("aab", SweepConfig())
     assert not out.violations
     assert out.stats["power_small"] == 1  # just the square of the letter a
+
+
+def test_graph_evaluators_match_a_search_at_every_order():
+    # the sweeps skip Johnson at tree orders (chi = 0); the public route
+    # below searches every order and takes chi from the connectivity check
+    from circsq.rauzy import (
+        build_rauzy_graph,
+        cyclomatic_number,
+        enumerate_elementary_circuits,
+        small_circuit_profile,
+    )
+    from circsq.verify import _eval_circuit_rank, _eval_count_chain
+
+    cfg = SweepConfig()
+    for k, top in ((2, 9), (3, 6)):
+        for n in range(2, top + 1):
+            for w in words_over(k, n):
+                rank = _eval_circuit_rank(w, cfg)
+                assert rank.stats["small_circuits"] == small_circuit_profile(w).total, w
+                small = indep = 0
+                for order in range(1, n + 1):
+                    g = build_rauzy_graph(w + w, order)
+                    circuits = enumerate_elementary_circuits(g)
+                    small += sum(1 for c in circuits if c.length <= order and 2 * c.length < n)
+                    indep += cyclomatic_number(g)
+                chain = _eval_count_chain(w, cfg)
+                assert (chain.stats["small_count"], chain.stats["indep_total"]) == (small, indep), w
 
 
 def test_circuit_rank_examples_direct():
