@@ -314,6 +314,21 @@ def vector_cycle(c: Circuit, g: RauzyGraph) -> tuple[int, ...]:
     return tuple(counts[e] for e in g.edges)
 
 
+def _cycle_vectors(circuits: list[Circuit], g: RauzyGraph) -> list[tuple[int, ...]]:
+    """:func:`vector_cycle` of each circuit, from one edge index of ``g``."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    vectors = []
+    for c in circuits:
+        v = [0] * len(index)
+        for e in c.edges:
+            i = index.get(e)
+            if i is None:
+                raise ValueError(f"edge {e!r} is not in the graph")
+            v[i] += 1
+        vectors.append(tuple(v))
+    return vectors
+
+
 def independent_rank(vectors: list[tuple[int, ...]]) -> int:
     """Rank over the rationals, via fraction-free integer elimination."""
     vecs = [list(v) for v in vectors]

@@ -24,7 +24,8 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 Sweeps enumerate canonical representatives: first-occurrence-renamed
 words for linear-word properties, and for circular ones the words least
 under rotation plus renaming, generated directly (FKM necklace generation
-restricted to renamed words, then a least-in-orbit test) instead of
+restricted to renamed words, then a least-in-orbit test that renames only
+the rotations starting a run as long as the leading ``a`` run) instead of
 filtered out of the renamed words.  Checks that read one word stream share
 a pass over it per length and compute a shared fact once per word; several
 jobs split each level by prefix over one worker pool per suite.  A single
@@ -48,6 +49,7 @@ from typing import Callable
 from .rauzy import (
     DEFAULT_CIRCUIT_CAP,
     CircuitCapExceeded,
+    _cycle_vectors,
     _factor_graphs,
     _FactorTable,
     circuit_root,
@@ -55,7 +57,6 @@ from .rauzy import (
     enumerate_elementary_circuits,
     independent_rank,
     split_point,
-    vector_cycle,
 )
 from .squares import (
     class_decomposition,
@@ -144,10 +145,45 @@ def _iter_rename_canonical(k: int, n: int, prefix: str = ""):
 def _is_orbit_least(w: str) -> bool:
     """True when the renamed necklace ``w`` is its :func:`necklace_form`.
 
-    The orbit minimum is the renamed form of some rotation of ``w``, so the
-    test renames the ``n - 1`` other rotations, whatever the alphabet.
+    Precondition: ``w`` comes straight from FKM, so it is first-occurrence
+    renamed and its own least plain rotation.  The orbit minimum is the
+    renamed form of some rotation, and a rotation starting with the letter
+    ``x`` renames to ``a^r`` and then ``b``, where ``r`` is the length of
+    the ``x`` run it starts with.  Let ``L`` be the length of ``w``'s
+    leading ``a`` run.  A rotation that starts inside a run, or at a run
+    shorter than ``L``, has ``b`` where ``w`` has ``a``, so it renames
+    above ``w``; a run longer than ``L`` renames below it at once.  Only
+    the rotations that start a run of exactly ``L`` letters are renamed,
+    lazily, up to their first difference with ``w``.  No run wraps into
+    the leading one: a non-constant necklace does not end in ``a``.
     """
-    return all(rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, len(w)))
+    n = len(w)
+    lead = n - len(w.lstrip("a"))
+    if lead == n:
+        return True  # a constant word
+    starts = []
+    i = lead
+    while i < n:
+        j = i + 1
+        while j < n and w[j] == w[i]:
+            j += 1
+        if j - i > lead:
+            return False
+        if j - i == lead:
+            starts.append(i)
+        i = j
+    for i in starts:
+        names: dict[str, str] = {}
+        for j in range(n):
+            c = w[i + j - n]  # w[(i + j) % n]
+            x = names.get(c)
+            if x is None:
+                x = names[c] = ascii_lowercase[len(names)]
+            if x != w[j]:
+                if x < w[j]:
+                    return False
+                break
+    return True
 
 
 def _iter_necklaces(k: int, n: int, prefix: str = ""):
@@ -159,8 +195,9 @@ def _iter_necklaces(k: int, n: int, prefix: str = ""):
     first-occurrence renamed.  A word is kept when the length ``p`` of its
     longest Lyndon prefix divides ``n`` (it is a necklace) and no rotation
     of it renames to a smaller word (unlabeled necklaces, as in Cattell,
-    Ruskey, Sawada, Serra and Miers, 2000).  A prefix that is not a renamed
-    prenecklace has no such extension.
+    Ruskey, Sawada, Serra and Miers, 2000); :func:`_is_orbit_least` renames
+    only the rotations that start a run as long as the leading ``a`` run.
+    A prefix that is not a renamed prenecklace has no such extension.
     """
     ids = [ord(c) - ord("a") for c in prefix] or [0]  # a renamed word starts with a
     if len(ids) > n:
@@ -438,7 +475,7 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
         except CircuitCapExceeded:
             out.skipped = True
             return out
-        vectors = [vector_cycle(c, g) for c in circuits]
+        vectors = _cycle_vectors(circuits, g)
         small = [v for c, v in zip(circuits, vectors) if c.length <= i]
         sc_total += len(small)
         if small and independent_rank(small) != len(small):
@@ -1016,7 +1053,7 @@ def check_large_circuit(
             rep.skipped.append(w)
             break
         short = [c for c in circuits if 2 * c.length <= n]
-        rank = independent_rank([vector_cycle(c, g) for c in short]) if short else 0
+        rank = independent_rank(_cycle_vectors(short, g)) if short else 0
         if rank >= chi:
             rep.violations.append(
                 (w, f"order {order}: short circuits span rank {rank} of chi {chi}")

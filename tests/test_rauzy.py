@@ -22,7 +22,7 @@ from circsq.rauzy import (
     to_dot,
     vector_cycle,
 )
-from circsq.rauzy import _factor_graphs, _FactorTable
+from circsq.rauzy import _cycle_vectors, _factor_graphs, _FactorTable
 from circsq.words import factors, is_primitive
 
 from conftest import fraction_rank, naive_circuits, words_over
@@ -181,7 +181,19 @@ def test_vector_cycle_rejects_foreign_edges():
     c = enumerate_elementary_circuits(build_rauzy_graph("abab", 1))[0]
     with pytest.raises(ValueError):
         vector_cycle(c, build_rauzy_graph(P3, 2))
+    with pytest.raises(ValueError):
+        _cycle_vectors([c], build_rauzy_graph(P3, 2))
     assert vector_cycle(c, g1) == (1, 0, 1, 0)  # same edge words, fine
+    assert _cycle_vectors([c], g1) == [(1, 0, 1, 0)]
+
+
+def test_cycle_vectors_match_vector_cycle_at_every_order():
+    for k, top in ((2, 9), (3, 6)):
+        for n in range(2, top + 1):
+            for w in words_over(k, n):
+                for _, g, _ in _factor_graphs(_FactorTable(w), range(1, n)):
+                    circuits = enumerate_elementary_circuits(g)
+                    assert _cycle_vectors(circuits, g) == [vector_cycle(c, g) for c in circuits]
 
 
 def test_independent_rank_examples():

@@ -58,10 +58,36 @@ def test_canonical_enumeration_covers_all_orbits():
         assert {necklace_form(w) for w in words_over(3, n)} == canon
 
 
+def test_orbit_test_matches_all_rotations(monkeypatch):
+    # every FKM candidate (a renamed necklace, before the orbit test) gets
+    # the verdict of renaming all its rotations
+    least = verify._is_orbit_least
+    candidates = []
+    monkeypatch.setattr(verify, "_is_orbit_least", lambda w: candidates.append(w) or True)
+    for k, top in ((1, 6), (2, 16), (3, 11), (4, 9), (5, 8)):
+        for n in range(1, top + 1):
+            list(verify._iter_necklaces(k, n))
+    cases = {
+        "a": True,
+        "aaaa": True,  # constant
+        "aabbb": False,  # a b run longer than the leading a run
+        "abab": True,  # here and below every rotation starts a run
+        "abac": True,
+        "abcb": False,  # bcba renames to abac
+        "abacbc": True,
+    }
+    assert len(candidates) > 35_000
+    for w in candidates + list(cases):
+        expected = all(
+            rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, len(w))
+        )
+        assert least(w) == expected == cases.get(w, expected), w
+
+
 def test_necklace_stream_matches_the_filter_oracle():
     # the generated stream, whole and per prefix block, in the filter's order
-    for k in range(1, 5):
-        for n in range(1, 9 if k == 4 else 10):
+    for k, top in ((1, 9), (2, 9), (3, 9), (4, 8), (5, 8)):
+        for n in range(1, top + 1):
             oracle = [w for w in _iter_rename_canonical(k, n) if is_necklace_canonical(w)]
             dead = ("ba", "abaa", "abcaa")  # ba is not renamed, the others no prenecklaces
             prefixes = {"", *dead}
