@@ -13,17 +13,13 @@ from .words import (
     canonical_rotation,
     circular_factors,
     factors,
-    fine_wilf_check,
-    has_period,
     is_primitive,
     least_rotation_index,
     primitive_root,
-    rational_power,
     rename_by_first_occurrence,
     rotations,
     smallest_period,
     validate_word,
-    word_from_ids,
 )
 from .squares import (
     ClassDecomposition,

@@ -429,7 +429,9 @@ def split_point(p: str) -> int | None:
 
     This is the largest ``m`` with fewer than ``len(p)`` circular factors of
     length ``m``; ``None`` when already the alphabet of ``p`` has full size
-    (the family is elementary at every order).
+    (the family is elementary at every order).  The windows of each length
+    are cut from ``p + p``: a primitive ``p`` has ``len(p)`` distinct ones
+    of length ``len(p)``, so every window tried fits.
     """
     validate_word(p)
     if not is_primitive(p):
@@ -437,8 +439,9 @@ def split_point(p: str) -> int | None:
     l = len(p)
     if len(set(p)) == l:
         return None
+    doubled = p + p
     m = 1
-    while len(circular_factors(p, m + 1)) < l:
+    while len({doubled[i : i + m + 1] for i in range(l)}) < l:
         m += 1
     return m
 

@@ -27,11 +27,12 @@ under rotation plus renaming, generated directly (FKM necklace generation
 restricted to renamed words, then a least-in-orbit test that renames only
 the rotations starting a run as long as the leading ``a`` run) instead of
 filtered out of the renamed words.  Checks that read one word stream share
-a pass over it per length and compute a shared fact once per word; several
-jobs split each level by prefix over one worker pool per suite.  A single
-job can checkpoint to a line-oriented file whose v3 header fingerprints its
-config.  Levels, worker blocks, restored levels and built-in instances
-are all :class:`CheckReport` values folded by :meth:`CheckReport.merge`.
+a pass over it per length and compute a shared fact once per word; with
+several jobs each worker of one pool per suite sweeps one contiguous range
+of each level's stream.  A sweep, with one job or several, can checkpoint
+to a line-oriented file whose v3 header fingerprints its config.  Levels,
+worker ranges, restored levels and built-in instances are all
+:class:`CheckReport` values folded by :meth:`CheckReport.merge`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import islice, product
 from string import ascii_lowercase
 from typing import Callable
 
@@ -124,11 +125,10 @@ def is_necklace_canonical(w: str) -> bool:
     return necklace_form(w) == w
 
 
-def _iter_rename_canonical(k: int, n: int, prefix: str = ""):
+def _iter_rename_canonical(k: int, n: int):
     """Words whose symbols first appear in order a, b, c, ... (lex order)."""
     letters = ascii_lowercase[:k]
-    used = len(set(prefix))
-    buf = list(prefix)
+    buf: list[str] = []
 
     def rec(pos: int, used: int):
         if pos == n:
@@ -139,7 +139,7 @@ def _iter_rename_canonical(k: int, n: int, prefix: str = ""):
             yield from rec(pos + 1, used + (1 if c == used else 0))
             buf.pop()
 
-    yield from rec(len(prefix), used)
+    yield from rec(0, 0)
 
 
 def _is_orbit_least(w: str) -> bool:
@@ -186,32 +186,19 @@ def _is_orbit_least(w: str) -> bool:
     return True
 
 
-def _iter_necklaces(k: int, n: int, prefix: str = ""):
+def _iter_necklaces(k: int, n: int):
     """Renamed words of length ``n`` over ``k`` letters that are their own :func:`necklace_form`.
 
     FKM generation (Ruskey, Savage and Wang, "Generating necklaces", 1992)
-    of the prenecklaces extending ``prefix``, in lex order, where each
-    position branches only up to the first unused letter, so every word is
-    first-occurrence renamed.  A word is kept when the length ``p`` of its
-    longest Lyndon prefix divides ``n`` (it is a necklace) and no rotation
-    of it renames to a smaller word (unlabeled necklaces, as in Cattell,
-    Ruskey, Sawada, Serra and Miers, 2000); :func:`_is_orbit_least` renames
-    only the rotations that start a run as long as the leading ``a`` run.
-    A prefix that is not a renamed prenecklace has no such extension.
+    of the prenecklaces, in lex order, where each position branches only up
+    to the first unused letter, so every word is first-occurrence renamed.
+    A word is kept when the length ``p`` of its longest Lyndon prefix
+    divides ``n`` (it is a necklace) and no rotation of it renames to a
+    smaller word (unlabeled necklaces, as in Cattell, Ruskey, Sawada, Serra
+    and Miers, 2000); :func:`_is_orbit_least` renames only the rotations
+    that start a run as long as the leading ``a`` run.
     """
-    ids = [ord(c) - ord("a") for c in prefix] or [0]  # a renamed word starts with a
-    if len(ids) > n:
-        return
-    p, used = 1, 0  # seeded from the prefix: its longest Lyndon prefix, its letters
-    for i, c in enumerate(ids):
-        if not 0 <= c <= min(used, k - 1):
-            return  # not renamed, or a letter beyond the alphabet
-        if i and c != ids[i - p]:
-            if c < ids[i - p]:
-                return  # not a prenecklace
-            p = i + 1
-        used = max(used, c + 1)
-    ids += [0] * (n - len(ids))
+    ids = [0] * n  # a renamed word starts with a
 
     def rec(t: int, p: int, used: int):
         if t == n:
@@ -226,24 +213,22 @@ def _iter_necklaces(k: int, n: int, prefix: str = ""):
             ids[t] = c
             yield from rec(t + 1, p if c == low else t + 1, max(used, c + 1))
 
-    yield from rec(max(len(prefix), 1), p, used)
+    yield from rec(1, 1, 1)
 
 
-def _iter_stream(k: int, n: int, canonicalize: bool, necklace: bool, prefix: str = ""):
-    """Words of length ``n`` over ``k`` letters extending ``prefix``, in lex order.
+def _iter_stream(k: int, n: int, canonicalize: bool, necklace: bool):
+    """Words of length ``n`` over ``k`` letters, in lex order.
 
     Without ``canonicalize`` every word; otherwise the first-occurrence-renamed
     words, or, when ``necklace`` is set, the necklace representatives (least
     under rotation plus renaming) generated directly by :func:`_iter_necklaces`.
-    Every sweep, worker prefix and the exhaustive extremal search reads its
-    words here.
+    Every sweep and the exhaustive extremal search reads its words here.
     """
     if not canonicalize:
-        tails = product(ascii_lowercase[:k], repeat=n - len(prefix))
-        return (prefix + "".join(tail) for tail in tails)
+        return ("".join(w) for w in product(ascii_lowercase[:k], repeat=n))
     if necklace:
-        return _iter_necklaces(k, n, prefix)
-    return _iter_rename_canonical(k, n, prefix)
+        return _iter_necklaces(k, n)
+    return _iter_rename_canonical(k, n)
 
 
 def circular_square_count(w: str) -> int:
@@ -750,15 +735,11 @@ def _iter_nonprimitive(k: int, n: int, canonicalize: bool) -> list[str]:
     return sorted(words)
 
 
-def _blocks(stream: str, cfg: SweepConfig, n: int) -> list[str]:
-    # The nonprimitive stream is built from shorter words, not by extending prefixes.
-    if cfg.jobs == 1 or stream == "nonprimitive" or n < 3:
-        return [""]
-    k = cfg.alphabet_size
-    depth = 1
-    while k**depth < 4 * cfg.jobs and depth < n - 1:
-        depth += 1
-    return list(_iter_stream(k, depth, cfg.canonicalize, necklace=False))
+def _level(stream: str, cfg: SweepConfig, n: int):
+    """The words of length ``n`` that ``stream`` sweeps, in lex order."""
+    if stream == "nonprimitive":
+        return _iter_nonprimitive(cfg.alphabet_size, n, cfg.canonicalize)
+    return _iter_stream(cfg.alphabet_size, n, cfg.canonicalize, stream == "necklace")
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +757,13 @@ class _Checkpoint:
     ``violations``/``flagged``/``skipped`` entries added since the level's
     previous record.  The last valid record per key wins and the lists of all
     valid records of the key are concatenated in file order, so a sweep killed
-    mid-write resumes to the uninterrupted report.  The file is read once and
-    written through one handle flushed per record; I/O problems are counted
-    and silence further writes, and the sweep continues.
+    mid-write resumes to the uninterrupted report.  A single-job sweep also
+    writes a record every ``_CHECKPOINT_FLUSH_EVERY`` words of a level; with
+    several jobs the parent process alone reads and writes the file, one
+    record per finished level, so a finished level reads the same under any
+    number of jobs and an open one resumes under any number.  The file is
+    read once and written through one handle flushed per record; I/O
+    problems are counted and silence further writes, and the sweep continues.
     """
 
     def __init__(self, cfg: SweepConfig) -> None:
@@ -891,27 +876,21 @@ class _Checkpoint:
 _CHECKPOINT_FLUSH_EVERY = 2000
 
 
-def _run_block(args: tuple, ckpt: _Checkpoint | None = None) -> list[CheckReport]:
-    """Sweep ``args = (stream, ids, cfg, n, prefix)`` into one report per check in ``ids``.
+def _run_block(args: tuple, ckpt: _Checkpoint | None = None) -> tuple[dict, dict]:
+    """Sweep ``args = (stream, cfg, n, parts, last, start, stop)``; return ``(parts, last)``.
 
-    The words are the stream's words of length ``n`` that extend ``prefix``.
-    With a checkpoint (single-process sweeps: one block per level) each check
-    resumes after its own last recorded word and saves every
-    ``_CHECKPOINT_FLUSH_EVERY`` of its words and once the level is done.
+    The words are those at positions ``start`` up to ``stop`` (``None``: the
+    end) of the stream's level of length ``n``.  Each check ``cid`` in
+    ``last`` folds the words after ``last[cid]`` into ``parts[cid]``, and
+    ``last[cid]`` follows the last word it took.  A single-job sweep passes
+    its whole level and its checkpoint, and saves every
+    ``_CHECKPOINT_FLUSH_EVERY`` words of a check; a pool worker gets one
+    contiguous range and no checkpoint.
     """
-    stream, ids, cfg, n, prefix = args
-    parts = {cid: CheckReport.for_config(cid, cfg) for cid in ids}
-    resumed = {cid: ckpt.restore(n, p) if ckpt else (None, False) for cid, p in parts.items()}
-    last = {cid: word for cid, (word, done) in resumed.items() if not done}  # the open checks
-    if not last:
-        return list(parts.values())
+    stream, cfg, n, parts, last, start, stop = args
     feeds = [(cid, parts[cid], _CHECK_DEFS[cid]) for cid in last]
     screen = any(cdef.primitive_only for _, _, cdef in feeds)
-    if stream == "nonprimitive":
-        words = _iter_nonprimitive(cfg.alphabet_size, n, cfg.canonicalize)
-    else:
-        words = _iter_stream(cfg.alphabet_size, n, cfg.canonicalize, stream == "necklace", prefix)
-    for w in words:
+    for w in islice(_level(stream, cfg, n), start, stop):
         proper_power = screen and not is_primitive(w)  # one primitivity test per word
         for cid, part, cdef in feeds:
             if w <= (last[cid] or "") or (cdef.primitive_only and proper_power):
@@ -920,10 +899,41 @@ def _run_block(args: tuple, ckpt: _Checkpoint | None = None) -> list[CheckReport
             last[cid] = w
             if ckpt is not None and part.words_tested % _CHECKPOINT_FLUSH_EVERY == 0:
                 ckpt.save(n, part, w, done=False)
+    return parts, last
+
+
+def _sweep_level(
+    stream: str, ids: tuple, cfg: SweepConfig, n: int, ckpt: _Checkpoint | None, pool
+) -> list[CheckReport]:
+    """One report per check in ``ids`` over the stream's level of length ``n``.
+
+    Each check resumes from its checkpoint record.  With ``jobs`` J > 1 the
+    level's ``size`` words are counted, and pool worker r sweeps positions
+    ``r * size // J`` up to ``(r + 1) * size // J``; the ranges follow
+    stream order, so the restored level and then the parts fold by
+    :meth:`CheckReport.merge` into the report of a single job.
+    """
+    levels = {cid: CheckReport.for_config(cid, cfg) for cid in ids}
+    resumed = {cid: ckpt.restore(n, lv) if ckpt else (None, False) for cid, lv in levels.items()}
+    last = {cid: word for cid, (word, done) in resumed.items() if not done}  # the open checks
+    if not last:
+        return list(levels.values())
+    if cfg.jobs == 1:
+        _run_block((stream, cfg, n, levels, last, 0, None), ckpt)
+    else:
+        size = sum(1 for _ in _level(stream, cfg, n))
+        cuts = [r * size // cfg.jobs for r in range(cfg.jobs + 1)]
+        fresh = {cid: CheckReport.for_config(cid, cfg) for cid in last}  # pickled per task
+        tasks = [(stream, cfg, n, fresh, last, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        for parts, ends in pool.map(_run_block, tasks):
+            for cid, part in parts.items():
+                levels[cid].merge(part)
+                if part.words_tested:  # a range that took no word echoes the restored last
+                    last[cid] = ends[cid]
     if ckpt is not None:
-        for cid, part, _ in feeds:
-            ckpt.save(n, part, last[cid], done=True)
-    return list(parts.values())
+        for cid in last:
+            ckpt.save(n, levels[cid], last[cid], done=True)
+    return list(levels.values())
 
 
 def run_check(check_id: str, cfg: SweepConfig) -> CheckReport:
@@ -960,20 +970,14 @@ def run_suite(cfg: SweepConfig) -> SuiteReport:
     """Run every configured check in the canonical order, one pass per stream and length."""
     reports = {cid: CheckReport.for_config(cid, cfg) for cid in CHECK_ORDER if cid in cfg.checks}
     swept = [cid for cid in reports if cid in _CHECK_DEFS]
-    ckpt = _Checkpoint(cfg) if cfg.checkpoint_path and cfg.jobs == 1 else None
-    pool = None
+    ckpt = _Checkpoint(cfg) if cfg.checkpoint_path else None
+    pool = multiprocessing.Pool(cfg.jobs) if cfg.jobs > 1 and swept else None
     try:
         for stream in dict.fromkeys(_CHECK_DEFS[cid].stream for cid in swept):
             ids = tuple(cid for cid in swept if _CHECK_DEFS[cid].stream == stream)
             for n in range(1, cfg.max_length + 1):
-                tasks = [(stream, ids, cfg, n, b) for b in _blocks(stream, cfg, n)]
-                if len(tasks) == 1:
-                    blocks = [_run_block(tasks[0], ckpt)]
-                else:
-                    pool = pool or multiprocessing.Pool(cfg.jobs)
-                    blocks = pool.map(_run_block, tasks)
-                for part in chain.from_iterable(blocks):
-                    reports[part.check_id].merge(part)
+                for level in _sweep_level(stream, ids, cfg, n, ckpt, pool):
+                    reports[level.check_id].merge(level)
     finally:
         if pool is not None:
             pool.close()
@@ -982,8 +986,6 @@ def run_suite(cfg: SweepConfig) -> SuiteReport:
             ckpt.close()
     mismatches = None
     for rep in map(reports.get, swept):
-        if cfg.checkpoint_path and cfg.jobs > 1:
-            rep.stats["checkpoint_disabled"] = 1
         if ckpt is not None and ckpt.io_errors:
             rep.stats["checkpoint_errors"] = ckpt.io_errors
         if cfg.canonicalize and rep.check_id in ("bound-5-3", "bound-nonprimitive"):

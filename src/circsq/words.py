@@ -8,7 +8,6 @@ primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from string import ascii_lowercase
 from typing import NamedTuple
 
@@ -26,11 +25,7 @@ __all__ = [
     "factors",
     "circular_factors",
     "smallest_period",
-    "has_period",
-    "fine_wilf_check",
-    "rational_power",
     "rename_by_first_occurrence",
-    "word_from_ids",
 ]
 
 
@@ -193,43 +188,6 @@ def smallest_period(w: str) -> int:
     return len(w) - _prefix_function(w)[-1]
 
 
-def has_period(w: str, p: int) -> bool:
-    """True when ``p`` is a period of ``w`` (any ``p >= len(w)`` is)."""
-    validate_word(w)
-    if p < 1:
-        raise ValueError(f"period {p} must be positive")
-    if p >= len(w):
-        return True
-    return w[:-p] == w[p:]
-
-
-def fine_wilf_check(w: str, p: int, q: int) -> bool:
-    """Check the periodicity-interaction law on one instance.
-
-    If ``w`` has periods ``p`` and ``q`` and is at least
-    ``p + q - gcd(p, q)`` long, the gcd must also be a period.  Returns the
-    truth of that implication; it never assumes it.
-    """
-    validate_word(w)
-    if not (1 <= p <= len(w) and 1 <= q <= len(w)):
-        raise ValueError(f"periods {p},{q} out of range 1..{len(w)}")
-    d = gcd(p, q)
-    if has_period(w, p) and has_period(w, q) and len(w) >= p + q - d:
-        return has_period(w, d)
-    return True
-
-
-def rational_power(u: str, num: int) -> str:
-    """The length-``num`` prefix of the periodic extension of ``u``.
-
-    ``num`` must be at least ``len(u)`` (exponent at least one).
-    """
-    validate_word(u)
-    if num < len(u):
-        raise ValueError(f"target length {num} shorter than the base {len(u)}")
-    return (u * (num // len(u) + 1))[:num]
-
-
 def rename_by_first_occurrence(w: str) -> str:
     """Relabel symbols so they first appear in the order a, b, c, ...
 
@@ -246,12 +204,3 @@ def rename_by_first_occurrence(w: str) -> str:
         out.append(table[ch])
     return "".join(out)
 
-
-def word_from_ids(ids: list[int] | tuple[int, ...]) -> str:
-    """Build a word from integer symbol ids 0..25 (id ``i`` becomes letter ``i``)."""
-    if not ids:
-        raise InvalidWordError("the empty word is not accepted")
-    try:
-        return "".join(ascii_lowercase[i] for i in ids)
-    except (IndexError, TypeError) as exc:
-        raise InvalidWordError(f"symbol ids must be integers in 0..25: {ids!r}") from exc

@@ -202,17 +202,15 @@ def test_verify_large_circuit_over_budget_is_incomplete(capsys):
 
 
 def test_verify_warns_that_jobs_drop_the_checkpoint(capsys, tmp_path):
+    # --jobs 2 keeps the checkpoint without a warning, and a one-job rerun
+    # from that file prints the same report
     path = tmp_path / "progress.txt"
-    code, _, err = run_cli(
-        capsys, "verify", "--check", "bound-5-3", "--max-len", "5", "--jobs", "2",
-        "--checkpoint", str(path),
-    )
+    args = ("verify", "--check", "bound-5-3", "--max-len", "5", "--checkpoint", str(path))
+    code, out, err = run_cli(capsys, *args, "--jobs", "2")
     assert code == 0
-    assert "warning" in err and "--jobs 2" in err
-    assert not path.exists()
-    _, _, err = run_cli(capsys, "verify", "--check", "bound-5-3", "--max-len", "5",
-                        "--checkpoint", str(path))
     assert err == ""
+    assert path.exists()
+    assert run_cli(capsys, *args) == (0, out, "")
 
 
 def test_verify_env_checkpoint_override(capsys, tmp_path, monkeypatch):

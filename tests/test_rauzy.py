@@ -23,7 +23,7 @@ from circsq.rauzy import (
     vector_cycle,
 )
 from circsq.rauzy import _cycle_vectors, _factor_graphs, _FactorTable
-from circsq.words import factors, is_primitive
+from circsq.words import circular_factors, factors, is_primitive
 
 from conftest import fraction_rank, naive_circuits, words_over
 
@@ -262,6 +262,18 @@ def test_split_point_examples():
     assert split_point("aabab") == 3
     with pytest.raises(ValueError):
         split_point("abab")
+
+
+def test_split_point_matches_the_definition_exhaustively():
+    # the largest m < len(p) with fewer than len(p) circular factors of
+    # length m, else None, on every primitive binary word to 12 and ternary to 8
+    for k, top in ((2, 12), (3, 8)):
+        for n in range(1, top + 1):
+            for p in words_over(k, n):
+                if not is_primitive(p):
+                    continue
+                short = [m for m in range(1, n) if len(circular_factors(p, m)) < n]
+                assert split_point(p) == max(short, default=None), p
 
 
 def test_split_point_stays_below_root_length():

@@ -1,7 +1,7 @@
 """Sweep machinery: canonical enumeration, checks, checkpoints, jobs, search."""
 
 import json
-import os
+import pickle
 import random
 
 import pytest
@@ -21,7 +21,9 @@ from circsq.verify import (
     run_suite,
     search_extremal,
 )
-from circsq.verify import _blocks, _iter_nonprimitive, _iter_rename_canonical, _iter_stream
+from circsq.cli import main
+from circsq.rauzy import DEFAULT_CIRCUIT_CAP
+from circsq.verify import _iter_nonprimitive, _iter_rename_canonical, _iter_stream, _level
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
 from conftest import brute_circular_squares, brute_extremal, words_over
@@ -85,18 +87,11 @@ def test_orbit_test_matches_all_rotations(monkeypatch):
 
 
 def test_necklace_stream_matches_the_filter_oracle():
-    # the generated stream, whole and per prefix block, in the filter's order
+    # the generated stream is the filtered one, in the filter's order
     for k, top in ((1, 9), (2, 9), (3, 9), (4, 8), (5, 8)):
         for n in range(1, top + 1):
             oracle = [w for w in _iter_rename_canonical(k, n) if is_necklace_canonical(w)]
-            dead = ("ba", "abaa", "abcaa")  # ba is not renamed, the others no prenecklaces
-            prefixes = {"", *dead}
-            for jobs in (2, 3, 4):
-                prefixes.update(_blocks("necklace", SweepConfig(k, n, jobs=jobs), n))
-            for prefix in sorted(prefixes):
-                expected = [w for w in oracle if w.startswith(prefix)]
-                assert prefix not in dead or not expected
-                assert list(_iter_stream(k, n, True, True, prefix)) == expected, (k, n, prefix)
+            assert list(_iter_stream(k, n, True, True)) == oracle, (k, n)
 
 
 def test_nonprimitive_stream():
@@ -360,30 +355,74 @@ def test_reports_are_deterministic():
 
 
 def test_jobs_merge_equals_single_threaded():
-    for check in CHECK_ORDER:
-        one = run_check(check, _cfg(check, 2, 7, jobs=1)).to_dict()
-        two = run_check(check, _cfg(check, 2, 7, jobs=2)).to_dict()
-        one["config"].pop("jobs")
-        two["config"].pop("jobs")
-        assert one == two, check
-    # every report of one fused all-check pass equals that check run alone
-    for k, n, cap in ((2, 8, 1_000_000), (2, 8, 1), (3, 6, 1_000_000), (3, 6, 1)):
-        lone = {c: run_check(c, _cfg(c, k, n, circuit_cap=cap)).to_dict() for c in CHECK_ORDER}
-        for jobs in (1, 2):
-            for rep in run_suite(SweepConfig(k, n, jobs=jobs, circuit_cap=cap)).reports:
-                fused = rep.to_dict()
-                fused["config"]["jobs"] = 1
-                assert fused == lone[rep.check_id], (k, n, cap, jobs, rep.check_id)
-    # necklace blocks are renamed prefixes; one that is no prenecklace, like
-    # abaa at (2,8) with three jobs, generates no word
-    assert "abaa" in _blocks("necklace", SweepConfig(2, 8, jobs=3), 8)
-    necklace = frozenset({"bound-5-3", "case-bounds", "splits", "count-chain"})
-    for k, n, jobs in ((4, 7, 2), (2, 8, 3)):
-        one = run_suite(SweepConfig(k, n, necklace)).to_dict()
-        many = run_suite(SweepConfig(k, n, necklace, jobs=jobs)).to_dict()
-        for rep in many["reports"]:
-            rep["config"]["jobs"] = 1
-        assert many == one, (k, n, jobs)
+    # every report of a suite under J jobs equals the one-job report; levels
+    # 1 and 2 hold fewer words than five jobs
+    for k, n, cap, canonicalize in (
+        (2, 8, DEFAULT_CIRCUIT_CAP, True),
+        (2, 8, 1, True),
+        (3, 6, DEFAULT_CIRCUIT_CAP, True),
+        (3, 6, 1, True),
+        (2, 8, DEFAULT_CIRCUIT_CAP, False),
+    ):
+        cfg = SweepConfig(k, n, canonicalize=canonicalize, circuit_cap=cap)
+        one = run_suite(cfg).to_dict()
+        for jobs in (2, 3, 5):
+            many = run_suite(replace(cfg, jobs=jobs)).to_dict()
+            for rep in many["reports"]:
+                rep["config"]["jobs"] = 1
+            assert many == one, (k, n, cap, canonicalize, jobs)
+        # each report of the fused all-check pass equals that check run alone
+        for rep in one["reports"]:
+            lone = run_check(rep["check"], replace(cfg, checks=frozenset({rep["check"]})))
+            assert rep == lone.to_dict(), (k, n, cap, canonicalize, rep["check"])
+
+
+class _RecordingPool:
+    """A pool that runs each task in-process on its own copy and records the ranges."""
+
+    def __init__(self, jobs):
+        self.jobs = jobs
+        self.maps = []
+
+    def map(self, fn, tasks):
+        self.maps.append(tasks)
+        return [fn(pickle.loads(pickle.dumps(t))) for t in tasks]
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def test_job_ranges_are_contiguous_and_balanced(monkeypatch):
+    # worker r of J sweeps positions r * size // J up to (r + 1) * size // J
+    pools = []
+
+    def start(jobs):
+        pools.append(_RecordingPool(jobs))
+        return pools[-1]
+
+    monkeypatch.setattr(verify.multiprocessing, "Pool", start)
+    checks = frozenset({"bound-5-3", "bound-nonprimitive", "class-parity"})  # one per stream
+    for k, n, canonicalize in ((2, 9, True), (3, 6, True), (2, 7, False)):
+        for jobs in (2, 3, 5):
+            cfg = SweepConfig(k, n, checks, canonicalize, jobs=jobs)
+            many = run_suite(cfg).to_dict()
+            for rep in many["reports"]:
+                rep["config"]["jobs"] = 1
+            assert many == run_suite(replace(cfg, jobs=1)).to_dict(), (k, n, jobs)
+            (pool,) = pools[-1:]
+            assert pool.jobs == jobs and len(pool.maps) == 3 * n  # three streams
+            for tasks in pool.maps:
+                stream, _, level_n = tasks[0][:3]
+                size = len(list(_level(stream, cfg, level_n)))
+                ranges = [t[5:] for t in tasks]
+                assert len(ranges) == jobs
+                assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+                assert ranges[-1][1] == size
+                spans = [hi - lo for lo, hi in ranges]
+                assert max(spans) - min(spans) <= 1, (stream, level_n, ranges)
 
 
 def test_spot_check_runs_once_per_suite(monkeypatch):
@@ -428,6 +467,17 @@ def test_checkpoint_resume_is_invisible(tmp_path):
     assert resumed.to_json() == run_suite(SweepConfig(2, 8, both)).to_json()
 
 
+def _cuts(text):
+    """Offsets halfway through each line of ``text`` and right after it."""
+    cuts = []
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        cuts.append(offset + len(line) // 2)  # inside the line
+        offset += len(line)
+        cuts.append(offset)  # after the line
+    return cuts
+
+
 def test_torn_checkpoint_resumes_to_the_uninterrupted_report(tmp_path, monkeypatch):
     # A budget of one circuit skips words at every level, and small flush
     # batches write several records per level, so the cuts below fall inside
@@ -441,14 +491,8 @@ def test_torn_checkpoint_resumes_to_the_uninterrupted_report(tmp_path, monkeypat
         run_suite(replace(cfg, checkpoint_path=str(whole)))
         expected = run_suite(cfg).to_json()
         text = whole.read_text()
-        lines = text.splitlines(keepends=True)
-        cuts = []
-        offset = 0
-        for line in lines:
-            cuts.append(offset + len(line) // 2)  # inside the line
-            offset += len(line)
-            cuts.append(offset)  # after the line
-        assert cuts[-1] == len(text) and len(lines) > 20
+        cuts = _cuts(text)
+        assert cuts[-1] == len(text) and len(cuts) > 40
         torn = tmp_path / "torn.txt"
         for cut in cuts:
             torn.write_text(text[:cut])
@@ -498,10 +542,49 @@ def test_checkpoint_io_failure_is_recoverable():
 
 
 def test_checkpoint_disabled_with_jobs(tmp_path):
-    path = str(tmp_path / "progress.txt")
-    rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 5, checkpoint_path=path, jobs=2))
-    assert rep.stats.get("checkpoint_disabled") == 1
-    assert not os.path.exists(path)
+    # two jobs keep the checkpoint: the file is written and the report is the
+    # one-job report
+    path = tmp_path / "progress.txt"
+    rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 5, checkpoint_path=str(path), jobs=2))
+    assert "checkpoint_disabled" not in rep.stats
+    assert path.exists()
+    got, solo = rep.to_dict(), run_check("bound-5-3", _cfg("bound-5-3", 2, 5)).to_dict()
+    got["config"]["jobs"] = 1
+    assert got == solo
+
+
+def test_checkpoint_under_jobs(tmp_path, monkeypatch, capsys):
+    # a --jobs 2 sweep writes a v3 file that reruns under one job or two
+    # report identically, and the CLI warns about nothing
+    monkeypatch.delenv("CIRCSQ_CHECKPOINT", raising=False)
+    path = tmp_path / "jobs.txt"
+    base = ["verify", "--check", "all", "--max-len", "7", "--budget", "1", "--format", "json"]
+    for jobs in ("2", "1", "2"):
+        plain = main([*base, "--jobs", jobs]), capsys.readouterr()
+        kept = main([*base, "--jobs", jobs, "--checkpoint", str(path)]), capsys.readouterr()
+        assert kept == plain and plain[1].err == "", jobs
+    lines = path.read_text().splitlines()
+    assert lines[0] == 'circsq-checkpoint v3 {"canonicalize": true, "circuit_cap": 1}'
+    assert sum('"done": true' in line for line in lines) == 8 * 7  # each check, each level
+    # a single-job file torn inside an open level resumes under two jobs
+    monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", 5)
+    fused = frozenset({"circuit-rank", "class-circuits", "class-parity"})
+    cfg = SweepConfig(2, 7, fused, circuit_cap=1)
+    whole = tmp_path / "whole.txt"
+    run_suite(replace(cfg, checkpoint_path=str(whole)))
+    expected = run_suite(cfg).to_dict()
+    text = whole.read_text()
+    torn = tmp_path / "torn.txt"
+    resumed_open = 0
+    for cut in _cuts(text)[1::5]:
+        torn.write_text(text[:cut])
+        resumed_open += '"done": false' in text[:cut].splitlines()[-1]
+        for _ in range(2):  # the file the resumed sweep leaves behind resumes too
+            got = run_suite(replace(cfg, checkpoint_path=str(torn), jobs=2)).to_dict()
+            for rep in got["reports"]:
+                rep["config"]["jobs"] = 1
+            assert got == expected, (cut, text[:cut].splitlines()[-1:])
+    assert resumed_open > 3
 
 
 def test_benchmark_hooks_stay_public():

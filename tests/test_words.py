@@ -9,16 +9,12 @@ from circsq.words import (
     canonical_rotation,
     circular_factors,
     factors,
-    fine_wilf_check,
-    has_period,
     is_primitive,
     primitive_root,
-    rational_power,
     rename_by_first_occurrence,
     rotations,
     smallest_period,
     validate_word,
-    word_from_ids,
 )
 
 from conftest import naive_is_primitive, naive_least_rotation, naive_periods, words_over
@@ -174,58 +170,6 @@ def test_smallest_period_of_powers_of_primitive_roots():
                 assert smallest_period(u * k) == len(u), (u, k)
 
 
-def test_has_period():
-    assert has_period("ababa", 2)
-    assert not has_period("ababa", 3)
-    assert has_period("abc", 5)
-    with pytest.raises(ValueError):
-        has_period("abc", 0)
-
-
-def test_fine_wilf_examples():
-    assert fine_wilf_check("aaaa", 2, 3) is True
-    assert fine_wilf_check("ababab", 2, 4) is True
-    # abaab lacks period 2 entirely, so the implication is vacuous
-    assert 2 not in naive_periods("abaab")
-    assert fine_wilf_check("abaab", 2, 3) is True
-
-
-def test_fine_wilf_exhaustive_ternary_length_12():
-    for n in range(1, 13):
-        for w in words_over(3, n):
-            periods = [p for p in range(1, n + 1) if w[p:] == w[: n - p]]
-            for p in periods:
-                for q in periods:
-                    assert fine_wilf_check(w, p, q), (w, p, q)
-
-
-def test_fine_wilf_vacuous_pairs_sampled():
-    for w in words_over(2, 6):
-        periods = set(naive_periods(w))
-        for p in range(1, 7):
-            for q in range(1, 7):
-                if p not in periods or q not in periods:
-                    assert fine_wilf_check(w, p, q), (w, p, q)
-
-
-def test_rational_power_examples():
-    assert rational_power("ab", 3) == "aba"
-    assert rational_power("abac", 4) == "abac"
-    assert rational_power("abac", 9) == "abacabaca"
-
-
-def test_rational_power_matches_periodic_extension():
-    for u in ["ab", "abc", "aab", "a"]:
-        for num in range(len(u), 3 * len(u) + 2):
-            expected = "".join(u[i % len(u)] for i in range(num))
-            assert rational_power(u, num) == expected
-
-
-def test_rational_power_rejects_short_targets():
-    with pytest.raises(ValueError):
-        rational_power("abac", 3)
-
-
 def test_alphabet():
     assert alphabet("abacaba") == {"a", "b", "c"}
 
@@ -234,14 +178,6 @@ def test_rename_by_first_occurrence():
     assert rename_by_first_occurrence("cab") == "abc"
     assert rename_by_first_occurrence("bbxb") == "aaba"
     assert rename_by_first_occurrence("aab") == "aab"
-
-
-def test_word_from_ids():
-    assert word_from_ids([0, 1, 0, 2]) == "abac"
-    with pytest.raises(InvalidWordError):
-        word_from_ids([])
-    with pytest.raises(InvalidWordError):
-        word_from_ids([99])
 
 
 @pytest.mark.parametrize(
