@@ -38,7 +38,6 @@ from .rauzy import (
     CircuitCapExceeded,
     ClassCircuit,
     RauzyGraph,
-    SmallCircuitProfile,
     build_rauzy_graph,
     circuit_root,
     class_circuit,
@@ -48,7 +47,6 @@ from .rauzy import (
     enumerate_elementary_circuits,
     independent_rank,
     is_weakly_connected,
-    small_circuit_profile,
     split_point,
     to_dot,
     vector_cycle,

@@ -39,7 +39,6 @@ __all__ = [
     "RauzyGraph",
     "Circuit",
     "ClassCircuit",
-    "SmallCircuitProfile",
     "build_rauzy_graph",
     "is_weakly_connected",
     "cyclomatic_number",
@@ -49,7 +48,6 @@ __all__ = [
     "circuit_root",
     "class_circuit",
     "contains_class_circuit",
-    "small_circuit_profile",
     "split_point",
     "decompose_split",
     "to_dot",
@@ -396,32 +394,6 @@ def contains_class_circuit(w: str, p: str, l: int) -> bool:
     return circular_factors(p, l) <= factors(w, l) and circular_factors(p, l + 1) <= factors(
         w, l + 1
     )
-
-
-@dataclass(frozen=True)
-class SmallCircuitProfile:
-    """Counts of small circuits (length <= order) per order, plus the total."""
-
-    per_order: tuple[tuple[int, int], ...]
-    total: int
-
-    def count_at(self, order: int) -> int:
-        return dict(self.per_order).get(order, 0)
-
-
-def small_circuit_profile(w: str, cap: int = DEFAULT_CIRCUIT_CAP) -> SmallCircuitProfile:
-    """Count, for each order, the elementary circuits no longer than the order."""
-    validate_word(w)
-    if len(w) < 2:
-        raise ValueError("profiles need a word of length at least 2")
-    per_order = []
-    total = 0
-    for i, g, _ in _factor_graphs(_FactorTable(w), range(1, len(w))):
-        circuits = enumerate_elementary_circuits(g, cap)
-        cnt = sum(1 for c in circuits if c.length <= i)
-        per_order.append((i, cnt))
-        total += cnt
-    return SmallCircuitProfile(tuple(per_order), total)
 
 
 def split_point(p: str) -> int | None:

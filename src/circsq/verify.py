@@ -7,7 +7,10 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 - ``circuit-rank``: small circuits per order are independent and their total
   is at most n minus the alphabet size.
 - ``class-circuits``: a power class of size t with root length l produces a
-  small circuit at each order l .. l+t-1.
+  small circuit at each order l .. l+t-1.  One reach per class answers every
+  order: the longest L such that every length-L window of the root repeated
+  forever is a factor of the word; the circuit at order o is there exactly
+  when o + 1 <= L.
 - ``class-parity``: per-class odd/even counts obey the parity bounds and,
   for the usual level structure, the exact level formula; even totals
   reproduce the distinct-square count.
@@ -16,8 +19,8 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 - ``case-bounds``: classify each primitive word by how its circuit family
   splits and assert the bound that classification implies.
 - ``count-chain``: on the doubled word, short-rooted power counts equal the
-  realized small circuits and are dominated by the total independence
-  capacity, itself at most 2n.
+  realized small circuits (read from each class's reach) and are dominated
+  by the total independence capacity, itself at most 2n.
 - ``large-circuit``: built-in high-power instances where every near-top
   order is rank-deficient without its long circuit.
 
@@ -61,7 +64,6 @@ from .rauzy import (
 )
 from .squares import (
     class_decomposition,
-    distinct_squares,
     odd_even_counts,
 )
 from .words import (
@@ -240,15 +242,22 @@ def circular_square_count(w: str) -> int:
     any word).
     """
     validate_word(w)
-    n = len(w)
-    doubled = w + w
-    found = set()
     # A factor of length <= n starting at i >= n equals the one starting at i - n.
+    return len(_square_scan(w + w, len(w)))
+
+
+def _square_scan(s: str, n: int) -> set[str]:
+    """The distinct squares of ``s`` no longer than ``n`` that start before ``n``.
+
+    ``_square_scan(w, len(w))`` gives the linear squares of ``w``.
+    """
+    found = set()
     for half in range(1, n // 2 + 1):
-        for i in range(n):
-            if doubled[i : i + half] == doubled[i + half : i + 2 * half]:
-                found.add(doubled[i : i + 2 * half])
-    return len(found)
+        fits = len(s) - 2 * half + 1  # starts at which a square of this half fits in s
+        for i in range(n if n < fits else fits):
+            if s[i : i + half] == s[i + half : i + 2 * half]:
+                found.add(s[i : i + 2 * half])
+    return found
 
 
 # One-entry memos of facts that several checks of a stream read, word by word.
@@ -474,86 +483,66 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
     return out
 
 
-def _class_circuit_probe(table: _FactorTable):
-    """``realizes(p, order)`` against the host word of one factor table.
+def _class_reach(w: str, p: str) -> int:
+    """The largest ``L <= len(w)`` such that all ``len(p)`` windows of length ``L``
+    of ``p`` repeated forever are factors of ``w``.
 
-    True when the class circuit of primitive ``p`` at ``order`` is elementary
-    (``len(p)`` distinct vertices) and lies in the factor graph of the host.
-    The host's factor sets come from its table, cut once per length on first
-    use: the public :func:`contains_class_circuit` re-validates its arguments
-    and rebuilds them on every call, too slow for this hot path.  ``p`` comes
-    from a power class, so it is a valid word; its windows of lengths
-    ``order`` and ``order + 1`` are cut from one periodic extension.
+    A window's prefixes are windows too, so ``L`` only shrinks from offset to
+    offset.  For primitive ``p`` and an order ``o >= len(p)`` the class
+    circuit of ``p`` at ``o`` has ``len(p)`` distinct vertices, and it lies in
+    the factor graph of ``w`` exactly when ``o + 1 <= reach``: one reach per
+    class answers every order.  ``w`` is trusted and ``p`` is a class root.
     """
-    n = len(table.word)
-
-    def realizes(p: str, order: int) -> bool:
-        if order + 1 > n:
-            return False
-        l = len(p)
-        ext = p * ((order + 1) // l + 2)
-        ring = {ext[i : i + order] for i in range(l)}
-        return (
-            len(ring) == l
-            and ring <= table[order]
-            and {ext[i : i + order + 1] for i in range(l)} <= table[order + 1]
-        )
-
-    return realizes
+    reach = len(w)
+    ext = p * (reach // len(p) + 2)
+    for i in range(len(p)):
+        while reach and ext[i : i + reach] not in w:
+            reach -= 1
+    return reach
 
 
 def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
-    realizes = _class_circuit_probe(_FactorTable(w))
     predicted = 0
-    hits = 0
+    realized = 0
     beyond = 0
     for pc in _classes(w):
         p, l, t = pc.root, pc.root_length, pc.t
         predicted += t
-        for i in range(1, t + 1):
-            if realizes(p, i + l - 1):
-                hits += 1
-            else:
-                out.violations.append(
-                    (w, f"class {p} (t={t}) has no small circuit at order {i + l - 1}")
-                )
-        order = t + l
-        while realizes(p, order):
-            beyond += 1
-            order += 1
+        reach = _class_reach(w, p)
+        realized += max(0, min(t, reach - l))
+        for order in range(max(l, reach), l + t):
+            out.violations.append((w, f"class {p} (t={t}) has no small circuit at order {order}"))
+        beyond += max(0, reach - t - l)
     out.stats["predicted"] = predicted
-    out.stats["realized"] = hits
+    out.stats["realized"] = realized
     if beyond:
         out.stats["beyond_window"] = beyond
     return out
 
 
-def _exponent_levels(pc) -> dict[str, set[int]]:
-    """Exponents per conjugate root: each member is ``m[:l] ** (len(m) // l)``."""
-    l = pc.root_length
-    levels: dict[str, set[int]] = {}
-    for m in pc.members:
-        levels.setdefault(m[:l], set()).add(len(m) // l)
-    return levels
-
-
 def _has_level_structure(pc) -> bool:
-    """Exponent sets are {2..r+1} on every conjugate plus s extras at r+2."""
+    """Exponent sets are {2..r+1} on every conjugate plus s extras at r+2.
+
+    Only the top exponent per conjugate is read: each must be r+1 or r+2,
+    with exactly s at r+2.  Tops that pass allow at most c*r + s members on
+    the c conjugates present, and there are t = l*r + s of them, so every
+    conjugate is present once r >= 1 and no exponent below a top is missing.
+    """
     l = pc.root_length
     r, s = divmod(pc.t, l)
-    base = set(range(2, r + 2))
-    extra = base | {r + 2}
-    with_extra = 0
-    levels = _exponent_levels(pc)
-    for exps in levels.values():
-        if exps == extra:
-            with_extra += 1
-        elif exps != base:
+    top: dict[str, int] = {}
+    for m in pc.members:
+        q, k = m[:l], len(m) // l
+        if k > top.get(q, 0):
+            top[q] = k
+    extras = 0
+    for k in top.values():
+        if k == r + 2:
+            extras += 1
+        elif k != r + 1:
             return False
-    if l - len(levels) and base:
-        return False
-    return with_extra == s
+    return extras == s
 
 
 def _eval_class_parity(w: str, cfg: SweepConfig) -> _Outcome:
@@ -579,7 +568,7 @@ def _eval_class_parity(w: str, cfg: SweepConfig) -> _Outcome:
         else:
             out.flagged.append((w, f"class {pc.root}: exponent levels are not an initial run"))
             out.stats["irregular_classes"] = out.stats.get("irregular_classes", 0) + 1
-    sq = distinct_squares(w).count
+    sq = len(_square_scan(w, len(w)))
     if even_total != sq:
         out.violations.append((w, f"even-power total {even_total} differs from Sq={sq}"))
     return out
@@ -658,22 +647,18 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
     n = len(w)
     doubled = w + w
-    table = _FactorTable(doubled)
-    realizes = _class_circuit_probe(table)
     power_small = 0
     realized = 0
     for pc in class_decomposition(doubled).classes:
-        p, l, t = pc.root, pc.root_length, pc.t
+        l, t = pc.root_length, pc.t
         if 2 * l >= n:
             continue
         power_small += t
-        for i in range(1, t + 1):
-            if realizes(p, i + l - 1):
-                realized += 1
+        realized += max(0, min(t, _class_reach(doubled, pc.root) - l))
 
     small_count = 0
     indep_total = 0
-    for order, g, chi in _factor_graphs(table, range(1, n + 1)):
+    for order, g, chi in _factor_graphs(_FactorTable(doubled), range(1, n + 1)):
         indep_total += chi
         if chi == 0:
             continue  # a tree: no circuit

@@ -98,6 +98,19 @@ def naive_circuits(graph) -> set[tuple[str, ...]]:
     return found
 
 
+def small_circuit_total(w: str) -> int:
+    """Elementary circuits no longer than their order, over orders 1..len(w)-1.
+
+    Circuits come from :func:`naive_circuits` on the library's factor graphs.
+    """
+    from circsq.rauzy import build_rauzy_graph
+
+    return sum(
+        sum(1 for c in naive_circuits(build_rauzy_graph(w, i)) if len(c) <= i)
+        for i in range(1, len(w))
+    )
+
+
 def fraction_rank(vectors) -> int:
     rows = [[Fraction(x) for x in v] for v in vectors]
     if not rows:

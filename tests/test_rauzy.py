@@ -17,7 +17,6 @@ from circsq.rauzy import (
     enumerate_elementary_circuits,
     independent_rank,
     is_weakly_connected,
-    small_circuit_profile,
     split_point,
     to_dot,
     vector_cycle,
@@ -236,23 +235,6 @@ def test_contains_class_circuit():
         contains_class_circuit(P3, "abab", 2)
     with pytest.raises(ValueError):
         contains_class_circuit("abab", "ab", 5)
-
-
-def test_small_circuit_profile_examples():
-    prof = small_circuit_profile(P3)
-    assert prof.total == 5
-    assert all(prof.count_at(i) == 1 for i in range(4, 9))
-    assert all(prof.count_at(i) == 0 for i in [1, 2, 3, 9, 10, 11])
-    assert small_circuit_profile("ab").total == 0
-    prof = small_circuit_profile("aaa")
-    assert prof.per_order == ((1, 1), (2, 1))
-    assert prof.total == 2
-
-
-def test_small_circuit_bound_exhaustive():
-    for n in range(2, 9):
-        for w in words_over(3, n):
-            assert small_circuit_profile(w).total <= n - len(set(w)), w
 
 
 def test_split_point_examples():

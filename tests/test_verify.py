@@ -26,7 +26,7 @@ from circsq.rauzy import DEFAULT_CIRCUIT_CAP
 from circsq.verify import _iter_nonprimitive, _iter_rename_canonical, _iter_stream, _level
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
-from conftest import brute_circular_squares, brute_extremal, words_over
+from conftest import brute_circular_squares, brute_extremal, small_circuit_total, words_over
 from dataclasses import replace
 from fractions import Fraction
 
@@ -225,7 +225,6 @@ def test_graph_evaluators_match_a_search_at_every_order():
         build_rauzy_graph,
         cyclomatic_number,
         enumerate_elementary_circuits,
-        small_circuit_profile,
     )
     from circsq.verify import _eval_circuit_rank, _eval_count_chain
 
@@ -234,7 +233,7 @@ def test_graph_evaluators_match_a_search_at_every_order():
         for n in range(2, top + 1):
             for w in words_over(k, n):
                 rank = _eval_circuit_rank(w, cfg)
-                assert rank.stats["small_circuits"] == small_circuit_profile(w).total, w
+                assert rank.stats["small_circuits"] == small_circuit_total(w), w
                 small = indep = 0
                 for order in range(1, n + 1):
                     g = build_rauzy_graph(w + w, order)
@@ -267,6 +266,118 @@ def test_class_circuits_examples_direct():
     out = _eval_class_circuits("abc", cfg)
     assert not out.violations
     assert out.stats["predicted"] == 0
+
+
+def test_class_reach_matches_contains_class_circuit_at_every_order():
+    # the class circuit of p at an order o >= |p| lies in the graph of w
+    # exactly when o + 1 <= reach; reach <= n rules out order n, which has
+    # no graph
+    from circsq.rauzy import contains_class_circuit
+    from circsq.verify import _class_reach
+
+    for k, top in ((2, 9), (3, 6)):
+        roots = [p for m in range(1, 5) for p in words_over(k, m) if is_primitive(p)]
+        for n in range(1, top + 1):
+            for w in words_over(k, n):
+                for p in roots:
+                    reach = _class_reach(w, p)
+                    assert reach <= n, (w, p)
+                    for order in range(len(p), n):
+                        realized = contains_class_circuit(w, p, order)
+                        assert (order + 1 <= reach) == realized, (w, p, order)
+
+
+def _power_class(root, members):
+    """A :class:`PowerClass` through its validating constructor."""
+    from circsq.squares import PowerClass
+
+    even = {m for m in members if len(m) // len(root) % 2 == 0}
+    return PowerClass(root, frozenset(members), frozenset(even), frozenset(members - even))
+
+
+def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
+    # a swept word's classes are always realized; fed classes that are not,
+    # the reach must give the violations, realized and beyond_window counts
+    # the plain per-order test gives
+    from circsq.rauzy import contains_class_circuit
+    from circsq.verify import _eval_class_circuits
+
+    def per_order(w, classes):
+        n = len(w)
+
+        def realizes(p, order):
+            return order + 1 <= n and contains_class_circuit(w, p, order)
+
+        violations, realized, beyond = [], 0, 0
+        for pc in classes:
+            p, l, t = pc.root, pc.root_length, pc.t
+            for order in range(l, l + t):
+                if realizes(p, order):
+                    realized += 1
+                else:
+                    text = f"class {p} (t={t}) has no small circuit at order {order}"
+                    violations.append((w, text))
+            order = l + t
+            while realizes(p, order):
+                beyond += 1
+                order += 1
+        return violations, realized, beyond
+
+    w = "abababba"  # (ab)^oo reaches 5: "ababab" and "babab" occur, "bababa" does not
+    ab5 = _power_class("ab", {"abab", "baba", "ababab", "bababa", "abababab"})
+    abb = _power_class("abb", {"abbabb", "bbabba"})  # "bbab" does not occur: reach 3
+    a = _power_class("a", {"aa"})
+    ab2 = _power_class("ab", {"abab", "baba"})
+    cases = [
+        ([ab5, abb, a], [(ab5, 5), (ab5, 6), (abb, 3), (abb, 4), (a, 1)], 3, 0),
+        ([ab2], [], 2, 1),
+    ]
+    for classes, missing, realized, beyond in cases:
+        monkeypatch.setattr(verify, "_classes", lambda word: classes)
+        out = _eval_class_circuits(w, SweepConfig())
+        expected = [
+            (w, f"class {pc.root} (t={pc.t}) has no small circuit at order {o}")
+            for pc, o in missing
+        ]
+        assert out.violations == expected
+        assert (out.stats["realized"], out.stats.get("beyond_window", 0)) == (realized, beyond)
+        assert per_order(w, classes) == (out.violations, realized, beyond)
+
+
+def _set_level_structure(pc):
+    """The set-based definition: every conjugate's exponent set is {2..r+1},
+    or {2..r+2} on exactly s of them, with all conjugates present once r >= 1."""
+    l = pc.root_length
+    r, s = divmod(pc.t, l)
+    base = set(range(2, r + 2))
+    levels = {}
+    for m in pc.members:
+        levels.setdefault(m[:l], set()).add(len(m) // l)
+    if any(exps not in (base, base | {r + 2}) for exps in levels.values()):
+        return False
+    if r and len(levels) < l:
+        return False
+    return sum(1 for exps in levels.values() if exps != base) == s
+
+
+def test_level_structure_matches_the_set_definition():
+    from circsq.squares import class_decomposition
+    from circsq.verify import _has_level_structure
+
+    for n in range(1, 9):
+        for w in words_over(3, n):
+            for pc in class_decomposition(w).classes:
+                assert _has_level_structure(pc) == _set_level_structure(pc), (w, pc.root)
+    broken = [
+        {"abab", "abababab"},  # a gap: exponent 3 is missing
+        {"abab", "ababab"},  # the conjugate "ba" is missing
+        {"abab", "ababab", "bababa"},  # two conjugates at r + 2 = 3, but s = 1
+    ]
+    for members in broken:
+        pc = _power_class("ab", members)
+        assert not _has_level_structure(pc) and not _set_level_structure(pc), members
+    pc = _power_class("ab", {"abab", "baba", "ababab"})
+    assert _has_level_structure(pc) and _set_level_structure(pc)
 
 
 def test_case_classification_examples():
