@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("--check", default="all",
-                          help="check id or 'all' (default all)")
+                          help="check id, comma list of ids, or 'all' (default all)")
     p_verify.add_argument("--alphabet", type=int, default=2)
     p_verify.add_argument("--max-len", type=int, default=8)
     p_verify.add_argument("--jobs", type=int, default=1)

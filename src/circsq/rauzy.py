@@ -2,21 +2,23 @@
 
 The order-``i`` factor graph (Rauzy graph) of a word has the length-``i``
 factors as vertices and the length-``i+1`` factors as edges; an edge runs
-from its prefix to its suffix.  A word's factor sets live in one private
-factor table per word, each length cut by slicing on first use, and every
-order's graph is built from two of its entries.  That trusted route skips
-the validation of the public :class:`RauzyGraph` constructor, and a word's
-graph is weakly connected by construction (consecutive windows are joined
-by an edge), so its independence capacity ``|E| - |V| + 1`` needs no
-search; :func:`build_rauzy_graph` validates the word and the order and then
-takes the same route.
+from its prefix to its suffix.  The public :class:`RauzyGraph` holds factor
+strings, edges sorted; :func:`build_rauzy_graph` validates the word and the
+order and cuts one graph.
 
-Elementary circuits come from Johnson's blocked search over integer vertex
-indices (vertices in sorted order, int successor lists, list-based blocked
-state), capped, and leave through a trusted :class:`Circuit` route: each
-starts at its least vertex and chains by construction.  The module also
-computes traversal vectors and their exact rank over the rationals, and
-analyses how the circuit family of a primitive word splits at low orders.
+The sweeps read a private integer route instead: ``_index_graphs`` cuts
+every order's graph straight from the word, vertices and edges numbered in
+first-occurrence order (the edge ids of one order are the vertex ids of the
+next), and a word's graph is weakly connected by construction (consecutive
+windows are joined by an edge), so its independence capacity
+``|E| - |V| + 1`` needs no search.  ``_circuit_edges`` is the one circuit
+search: Johnson's blocked search over the branch-vertex skeleton, where
+each chain of in = out = 1 vertices is one super-edge, capped, with
+circuits as lists of edge ids.  :func:`enumerate_elementary_circuits`
+indexes a public graph, runs the same search and maps the circuits back to
+normalized :class:`Circuit` values.  The module also computes traversal
+vectors and their exact rank over the rationals, and analyses how the
+circuit family of a primitive word splits at low orders.
 """
 
 from __future__ import annotations
@@ -106,40 +108,37 @@ class RauzyGraph:
         return {v: [e[1:] for e in es] for v, es in self.out_edges().items()}
 
 
-class _FactorTable(dict):
-    """``table[m]``: the frozenset of length-``m`` factors of one word, cut on first use.
+def _index_graphs(s: str, orders: range) -> Iterator[tuple[int, list[int], list[list[int]], int]]:
+    """``(order, head, out, n_vertices)`` for each order of a trusted word, cut from the word.
 
-    The word is trusted (already validated); a length above ``len(word)``
-    maps to the empty set.
+    The vertices of order ``i`` are the length-``i`` factors and its edges the
+    length-``i + 1`` factors, each numbered in first-occurrence order, so the
+    edge ids of order ``i`` are the vertex ids of order ``i + 1``; nothing is
+    sorted.  ``head[e]`` is the end vertex of edge ``e`` and ``out[v]`` lists
+    the edges leaving ``v`` in increasing id order.  ``orders`` ascends and
+    ends below ``len(s)``.  A word's factor graph is weakly connected
+    (consecutive windows share an edge), so ``len(head) - n_vertices + 1`` is
+    its cyclomatic number without a connectivity search.
     """
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: str) -> None:
-        # No dict.__init__ call: the table is already empty, and the call
-        # costs about as much per swept word as the table saves.
-        self.word = word
-
-    def __missing__(self, m: int) -> frozenset[str]:
-        w = self.word
-        fs = self[m] = frozenset([w[i : i + m] for i in range(len(w) - m + 1)])
-        return fs
-
-
-def _factor_graph(table: _FactorTable, i: int) -> RauzyGraph:
-    """The order-``i`` factor graph of the table's word, built without re-validation."""
-    return RauzyGraph._trusted(i, table[i], tuple(sorted(table[i + 1])))
-
-
-def _factor_graphs(table: _FactorTable, orders: range) -> Iterator[tuple[int, RauzyGraph, int]]:
-    """``(order, graph, chi)`` for each order, with ``chi = |E| - |V| + 1``.
-
-    A word's factor graph is weakly connected (consecutive windows share an
-    edge), so ``chi`` is its cyclomatic number without a connectivity search.
-    """
-    for i in orders:
-        g = _factor_graph(table, i)
-        yield i, g, len(g.edges) - len(g.vertices) + 1
+    letters: dict[str, int] = {}
+    ids = [letters.setdefault(c, len(letters)) for c in s]  # vertex id at each start
+    size = len(letters)
+    for i in range(1, orders.stop):
+        index: dict[int, int] = {}  # prefix id * size + suffix id -> edge id
+        head: list[int] = []
+        out: list[list[int]] = [[] for _ in range(size)]
+        edge_ids = []
+        for j in range(len(ids) - 1):
+            # a length-(i+1) factor is its prefix vertex and its suffix vertex
+            v, u = ids[j], ids[j + 1]
+            e = index.setdefault(v * size + u, len(head))
+            if e == len(head):
+                head.append(u)
+                out[v].append(e)
+            edge_ids.append(e)
+        if i in orders:
+            yield i, head, out, size
+        ids, size = edge_ids, len(head)
 
 
 def build_rauzy_graph(w: str, i: int) -> RauzyGraph:
@@ -147,7 +146,9 @@ def build_rauzy_graph(w: str, i: int) -> RauzyGraph:
     validate_word(w)
     if not 1 <= i <= len(w) - 1:
         raise ValueError(f"order {i} out of range 1..{len(w) - 1}")
-    return _factor_graph(_FactorTable(w), i)
+    vertices = frozenset([w[j : j + i] for j in range(len(w) - i + 1)])
+    edges = tuple(sorted({w[j : j + i + 1] for j in range(len(w) - i)}))
+    return RauzyGraph._trusted(i, vertices, edges)
 
 
 def is_weakly_connected(g: RauzyGraph) -> bool:
@@ -229,7 +230,7 @@ def circuit_root(c: Circuit) -> str:
     return spelled[: c.length]
 
 
-def _unblock(v: int, blocked: list[bool], blocked_by: list[set[int]]) -> None:
+def _unblock(v: int, blocked: list[bool], blocked_by: list[list[int]]) -> None:
     todo = [v]
     while todo:
         u = todo.pop()
@@ -239,67 +240,143 @@ def _unblock(v: int, blocked: list[bool], blocked_by: list[set[int]]) -> None:
             blocked_by[u].clear()
 
 
-def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
-    """All elementary directed circuits of ``g``, each reported once.
+def _circuit_edges(
+    head: list[int], out: list[list[int]], size: int, cap: int
+) -> list[list[int]]:
+    """Every elementary circuit of an integer graph, as its edge ids in walk order.
 
-    Johnson's blocked search from each start vertex in lexicographic order,
-    skipping successors below the start, so each circuit is found from its
-    least vertex.  Vertices are indexed in sorted order, so index order is
-    string order and the search state is plain lists.  There is no SCC pass:
-    Johnson needs it only for his time bound.  A vertex that cannot reach
-    the start is visited once, closes no circuit and stays blocked for the
-    rest of that search.  Circuits come out sorted by ``(length, edges)``.
-    Raises :class:`CircuitCapExceeded` when more than ``cap`` circuits show up.
+    Vertices are ``0 .. size - 1``, ``head[e]`` is the end vertex of edge
+    ``e`` and ``out[v]`` lists the edges leaving ``v``; the graph need not be
+    connected.  The search runs on the branch-vertex skeleton: a branch
+    vertex has in-degree or out-degree other than 1, and each maximal chain
+    of the other vertices folds into one super-edge that carries its edge
+    ids.  A component without a branch vertex is one circuit by itself.
+    Johnson's blocked search then starts from each branch vertex in id
+    order and walks super-edges to higher branch vertices only, so each
+    circuit is found once, from its least branch vertex; walking edges
+    rather than successor vertices keeps parallel super-edges and self-loops
+    apart.  There is no SCC pass: Johnson needs it only for his time bound.
+    A vertex that cannot reach the start is visited once, closes no circuit
+    and stays blocked for the rest of that search.  Raises
+    :class:`CircuitCapExceeded` when more than ``cap`` circuits show up.
     """
-    names = sorted(g.vertices)
-    index = {v: j for j, v in enumerate(names)}
-    size = len(names)
-    succ: list[list[int]] = [[] for _ in range(size)]
-    for e in g.edges:
-        succ[index[e[:-1]]].append(index[e[1:]])
+    indegree = [0] * size
+    for u in head:
+        indegree[u] += 1
+    branch = [indegree[v] != 1 or len(out[v]) != 1 for v in range(size)]
+    # skeleton[b]: (end branch vertex, edge ids) of each super-edge leaving branch vertex b
+    skeleton: list[list[tuple[int, list[int]]]] = [[] for _ in range(size)]
+    on_chain = branch[:]
+    for b in range(size):
+        if branch[b]:
+            for e in out[b]:
+                chain = [e]
+                u = head[e]
+                while not branch[u]:
+                    on_chain[u] = True
+                    e = out[u][0]
+                    chain.append(e)
+                    u = head[e]
+                skeleton[b].append((u, chain))
+
     found: list[list[int]] = []
 
+    def report(edges: list[int]) -> None:
+        found.append(edges)
+        if len(found) > cap:
+            raise CircuitCapExceeded(f"graph has more than {cap} elementary circuits")
+
+    for v in range(size):
+        if not on_chain[v]:  # a component that is one cycle of in = out = 1 vertices
+            edges = []
+            while not on_chain[v]:
+                on_chain[v] = True
+                e = out[v][0]
+                edges.append(e)
+                v = head[e]
+            report(edges)
+
+    blocked = [False] * size
+    closed = [False] * size
+    blocked_by: list[list[int]] = [[] for _ in range(size)]
     for s in range(size):
-        path = [s]
-        blocked = [False] * size
+        if not skeleton[s] or not indegree[s]:
+            continue  # not a branch vertex, or on no circuit
         blocked[s] = True
-        closed = [False] * size
-        blocked_by: list[set[int]] = [set() for _ in range(size)]
-        frames = [(s, iter(succ[s]))]
+        path = [s]
+        touched = [s]
+        walk: list[int] = []  # edge ids from s to the top of the path
+        frames = [(iter(skeleton[s]), 0)]  # (super-edges left, len(walk) on entry)
         while frames:
-            v, it = frames[-1]
-            for u in it:
+            it, cut = frames[-1]
+            for u, chain in it:
                 if u == s:
-                    found.append(path[:])
-                    if len(found) > cap:
-                        raise CircuitCapExceeded(
-                            f"graph of order {g.order} has more than {cap} elementary circuits"
-                        )
+                    report(walk + chain)
                     for x in path:
                         closed[x] = True
                 elif u > s and not blocked[u]:
+                    frames.append((iter(skeleton[u]), len(walk)))
+                    walk.extend(chain)
                     path.append(u)
+                    touched.append(u)
                     blocked[u] = True
                     closed[u] = False
-                    frames.append((u, iter(succ[u])))
                     break
-            else:  # every successor of v is done: retreat
+            else:  # every super-edge leaving v is done: retreat
+                v = path.pop()
+                frames.pop()
+                del walk[cut:]
                 if closed[v]:
                     _unblock(v, blocked, blocked_by)
                 else:
-                    for u in succ[v]:
-                        blocked_by[u].add(v)
-                frames.pop()
-                path.pop()
+                    for u, _ in skeleton[v]:
+                        if u > s:
+                            blocked_by[u].append(v)
+        for x in touched:  # reset the state this search wrote
+            blocked[x] = closed[x] = False
+            blocked_by[x].clear()
+    return found
 
-    # Each path starts at its least vertex, visits no vertex twice and joins
-    # consecutive vertices by an edge: what Circuit._trusted requires.
+
+def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
+    """All elementary directed circuits of ``g``, each reported once.
+
+    Indexes ``g``'s sorted vertices and edges and runs :func:`_circuit_edges`.
+    Each circuit is rotated to start at its least vertex, whose edge has the
+    least id since edge order is string order, and the circuits come out
+    sorted by ``(length, edges)``.  Raises :class:`CircuitCapExceeded` when
+    more than ``cap`` circuits show up.
+    """
+    index = {v: j for j, v in enumerate(sorted(g.vertices))}
+    head = [index[e[1:]] for e in g.edges]
+    out: list[list[int]] = [[] for _ in index]
+    for j, e in enumerate(g.edges):
+        out[index[e[:-1]]].append(j)
+    try:
+        found = _circuit_edges(head, out, len(index), cap)
+    except CircuitCapExceeded:
+        raise CircuitCapExceeded(
+            f"graph of order {g.order} has more than {cap} elementary circuits"
+        ) from None
     cycles = []
-    for vs in found:
-        r = len(vs)
-        cycles.append(tuple(names[vs[j]] + names[vs[(j + 1) % r]][-1] for j in range(r)))
+    for ids in found:
+        k = ids.index(min(ids))
+        cycles.append(tuple(g.edges[j] for j in ids[k:] + ids[:k]))
     cycles.sort(key=lambda edges: (len(edges), edges))
+    # Each cycle chains, visits no vertex twice and starts at its least
+    # vertex: what Circuit._trusted requires.
     return [Circuit._trusted(edges) for edges in cycles]
+
+
+def _edge_vectors(circuits: list[list[int]], n_edges: int) -> list[list[int]]:
+    """The 0/1 traversal vector of each circuit over edge ids ``0 .. n_edges - 1``."""
+    vectors = []
+    for edges in circuits:
+        v = [0] * n_edges
+        for e in edges:
+            v[e] = 1
+        vectors.append(v)
+    return vectors
 
 
 def vector_cycle(c: Circuit, g: RauzyGraph) -> tuple[int, ...]:
@@ -310,21 +387,6 @@ def vector_cycle(c: Circuit, g: RauzyGraph) -> tuple[int, ...]:
             raise ValueError(f"edge {e!r} is not in the graph")
     counts = Counter(c.edges)
     return tuple(counts[e] for e in g.edges)
-
-
-def _cycle_vectors(circuits: list[Circuit], g: RauzyGraph) -> list[tuple[int, ...]]:
-    """:func:`vector_cycle` of each circuit, from one edge index of ``g``."""
-    index = {e: i for i, e in enumerate(g.edges)}
-    vectors = []
-    for c in circuits:
-        v = [0] * len(index)
-        for e in c.edges:
-            i = index.get(e)
-            if i is None:
-                raise ValueError(f"edge {e!r} is not in the graph")
-            v[i] += 1
-        vectors.append(tuple(v))
-    return vectors
 
 
 def independent_rank(vectors: list[tuple[int, ...]]) -> int:

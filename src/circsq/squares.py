@@ -17,6 +17,7 @@ from typing import Iterator
 
 from .words import (
     CircularWord,
+    _least_rotation_index,
     canonical_rotation,
     is_primitive,
     primitive_root,
@@ -194,7 +195,12 @@ def class_decomposition(w: str) -> ClassDecomposition:
     for q, (root, k) in _power_table(w).items():
         key = keys.get(root)
         if key is None:
-            key = keys[root] = canonical_rotation(root)
+            if len(root) == 1:
+                key = root  # a one-letter root is its own least rotation
+            else:
+                r = _least_rotation_index(root)  # a factor of w, already validated
+                key = root[r:] + root[:r]
+            keys[root] = key
         members, even = groups.setdefault(key, (set(), set()))
         members.add(q)
         if k % 2 == 0:

@@ -29,7 +29,12 @@ words for linear-word properties, and for circular ones the words least
 under rotation plus renaming, generated directly (FKM necklace generation
 restricted to renamed words, then a least-in-orbit test that renames only
 the rotations starting a run as long as the leading ``a`` run) instead of
-filtered out of the renamed words.  Checks that read one word stream share
+filtered out of the renamed words.  The graph checks (``circuit-rank``,
+``count-chain``, ``large-circuit``) read each order's factor graph as
+integer ids cut straight from the word and take its circuits, as edge-id
+lists, from the one circuit search in :mod:`circsq.rauzy`, which runs over
+the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
+since every higher order is then a path.  Checks that read one word stream share
 a pass over it per length and compute a shared fact once per word; with
 several jobs each worker of one pool per suite sweeps one contiguous range
 of each level's stream.  A sweep, with one job or several, can checkpoint
@@ -53,12 +58,11 @@ from typing import Callable
 from .rauzy import (
     DEFAULT_CIRCUIT_CAP,
     CircuitCapExceeded,
-    _cycle_vectors,
-    _factor_graphs,
-    _FactorTable,
+    _circuit_edges,
+    _edge_vectors,
+    _index_graphs,
     circuit_root,
     decompose_split,
-    enumerate_elementary_circuits,
     independent_rank,
     split_point,
 )
@@ -301,14 +305,16 @@ class SweepConfig:
 
 
 def resolve_checks(selector: str) -> frozenset[str]:
-    """Turn ``"all"`` or one check id into a check set."""
+    """Turn ``"all"``, one check id or a comma list ``"a,b,..."`` of ids into a check set."""
     if selector == "all":
         return frozenset(CHECK_ORDER)
-    if selector in CHECK_ORDER:
-        return frozenset({selector})
-    raise ValueError(
-        f"unknown check id {selector!r}; choose from {', '.join(CHECK_ORDER)} or all"
-    )
+    ids = selector.split(",")
+    for cid in ids:
+        if cid not in CHECK_ORDER:
+            raise ValueError(
+                f"unknown check id {cid!r}; choose from {', '.join(CHECK_ORDER)} or all"
+            )
+    return frozenset(ids)
 
 
 @dataclass
@@ -461,16 +467,19 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
     n = len(w)
     sc_total = 0
-    for i, g, chi in _factor_graphs(_FactorTable(w), range(1, n)):
+    for i, head, edges_out, size in _index_graphs(w, range(1, n)):
+        chi = len(head) - size + 1
         if chi == 0:
-            continue  # a connected graph with |E| = |V| - 1 is a tree: no circuit
+            # a connected graph with |E| = |V| - 1 is a tree, so every
+            # length-(i+1) factor occurs once and every higher order is a path
+            break
         try:
-            circuits = enumerate_elementary_circuits(g, cfg.circuit_cap)
+            circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
         except CircuitCapExceeded:
             out.skipped = True
             return out
-        vectors = _cycle_vectors(circuits, g)
-        small = [v for c, v in zip(circuits, vectors) if c.length <= i]
+        vectors = _edge_vectors(circuits, len(head))
+        small = [v for c, v in zip(circuits, vectors) if len(c) <= i]
         sc_total += len(small)
         if small and independent_rank(small) != len(small):
             out.violations.append((w, f"small circuits at order {i} are dependent"))
@@ -658,16 +667,17 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
 
     small_count = 0
     indep_total = 0
-    for order, g, chi in _factor_graphs(_FactorTable(doubled), range(1, n + 1)):
+    for order, head, edges_out, size in _index_graphs(doubled, range(1, n + 1)):
+        chi = len(head) - size + 1
         indep_total += chi
         if chi == 0:
             continue  # a tree: no circuit
         try:
-            circuits = enumerate_elementary_circuits(g, cfg.circuit_cap)
+            circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
         except CircuitCapExceeded:
             out.skipped = True
             return out
-        small_count += sum(1 for c in circuits if c.length <= order and 2 * c.length < n)
+        small_count += sum(1 for c in circuits if len(c) <= order and 2 * len(c) < n)
 
     if power_small != realized:
         out.violations.append(
@@ -1032,15 +1042,16 @@ def check_large_circuit(
         seed=0,
         jobs=1,
     )
-    # Johnson runs at every order, trees included: rank >= chi must fire at chi = 0.
-    for order, g, chi in _factor_graphs(_FactorTable(w + w), range(n - l + 1, n + 1)):
+    # The search runs at every order, trees included: rank >= chi must fire at chi = 0.
+    for order, head, edges_out, size in _index_graphs(w + w, range(n - l + 1, n + 1)):
+        chi = len(head) - size + 1
         try:
-            circuits = enumerate_elementary_circuits(g, circuit_cap)
+            circuits = _circuit_edges(head, edges_out, size, circuit_cap)
         except CircuitCapExceeded:
             rep.skipped.append(w)
             break
-        short = [c for c in circuits if 2 * c.length <= n]
-        rank = independent_rank(_cycle_vectors(short, g)) if short else 0
+        short = [c for c in circuits if 2 * len(c) <= n]
+        rank = independent_rank(_edge_vectors(short, len(head))) if short else 0
         if rank >= chi:
             rep.violations.append(
                 (w, f"order {order}: short circuits span rank {rank} of chi {chi}")

@@ -67,7 +67,11 @@ def least_rotation_index(w: str) -> int:
     Booth's algorithm, O(n).  Cross-checked against the naive minimum in the
     test suite.
     """
-    validate_word(w)
+    return _least_rotation_index(validate_word(w))
+
+
+def _least_rotation_index(w: str) -> int:
+    """:func:`least_rotation_index` of a word that is already validated."""
     doubled = w + w
     n2 = len(doubled)
     fail = [-1] * n2

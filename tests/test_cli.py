@@ -173,6 +173,24 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_verify_comma_list_runs_the_fused_suite(capsys):
+    # a comma list gives the reports of the two-check config, in one pass
+    from circsq.verify import SweepConfig, run_suite
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", "bound-5-3,case-bounds",
+        "--alphabet", "2", "--max-len", "10", "--format", "json",
+    )
+    assert code == 0
+    cfg = SweepConfig(
+        alphabet_size=2, max_length=10, checks=frozenset({"bound-5-3", "case-bounds"})
+    )
+    assert out == run_suite(cfg).to_json() + "\n"
+    code, _, err = run_cli(capsys, "verify", "--check", "bound-5-3,nope")
+    assert code == 2
+    assert "unknown check id 'nope'" in err
+
+
 def test_verify_exit_code_tracks_violations():
     # the exit contract is 1 when any report carries a violation
     from circsq.verify import CheckReport, SuiteReport, SweepConfig

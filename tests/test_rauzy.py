@@ -21,7 +21,7 @@ from circsq.rauzy import (
     to_dot,
     vector_cycle,
 )
-from circsq.rauzy import _cycle_vectors, _factor_graphs, _FactorTable
+from circsq.rauzy import DEFAULT_CIRCUIT_CAP, _circuit_edges, _edge_vectors, _index_graphs
 from circsq.words import circular_factors, factors, is_primitive
 
 from conftest import fraction_rank, naive_circuits, words_over
@@ -65,18 +65,36 @@ def test_weak_connectivity():
         cyclomatic_number(isolated)
 
 
+def _first_occurrences(w, m):
+    """The length-``m`` factors of ``w`` in first-occurrence order."""
+    return list(dict.fromkeys(w[j : j + m] for j in range(len(w) - m + 1)))
+
+
 def test_rauzy_graphs_always_weakly_connected():
-    # the factor table's trusted graphs equal the validated ones, and their
-    # chi needs no connectivity search; a chi of 0 means a tree, no circuit
+    # the integer graphs cut from the word are the validated graphs under
+    # first-occurrence numbering, and their chi needs no connectivity
+    # search; a chi of 0 means a tree, no circuit
     for k, top in ((2, 10), (3, 8)):
         for n in range(2, top + 1):
             for w in words_over(k, n):
-                for i, g, chi in _factor_graphs(_FactorTable(w), range(1, n)):
-                    assert is_weakly_connected(build_rauzy_graph(w, i)), (w, i)
+                graphs = list(_index_graphs(w, range(1, n)))
+                assert [t[0] for t in graphs] == list(range(1, n)), w
+                for i, head, out, size in graphs:
+                    g = build_rauzy_graph(w, i)
+                    assert is_weakly_connected(g), (w, i)
                     assert g == RauzyGraph(i, factors(w, i), factors(w, i + 1)), (w, i)
+                    vertices, edges = _first_occurrences(w, i), _first_occurrences(w, i + 1)
+                    assert size == len(vertices) and sorted(edges) == list(g.edges), (w, i)
+                    assert head == [vertices.index(e[1:]) for e in edges], (w, i)
+                    assert out == [
+                        [x for x, e in enumerate(edges) if e[:-1] == v] for v in vertices
+                    ], (w, i)
+                    chi = len(head) - size + 1
                     assert chi == cyclomatic_number(g), (w, i)
                     if chi == 0:
                         assert naive_circuits(g) == set(), (w, i)
+                # a range of orders that starts above 1 yields the same graphs
+                assert list(_index_graphs(w, range(n // 2, n))) == graphs[n // 2 - 1 :], w
 
 
 def test_cyclomatic_number_values():
@@ -118,27 +136,112 @@ def test_enumerate_circuits_matches_naive_exhaustively():
                 _assert_circuits_match_naive(build_rauzy_graph(w, i), (w, i))
 
 
-def test_enumerate_circuits_matches_naive_on_random_subgraphs():
-    # random de Bruijn subgraphs give denser, more tangled shapes than
-    # word-derived graphs: overlapping cycles, self-loops, dead ends
+def _random_subgraphs(rng):
+    """Random de Bruijn subgraphs, often disconnected; sparse ones leave many
+    vertices that cannot reach the start vertex."""
     from itertools import product as iproduct
 
-    rng = random.Random(424242)
-
-    def check(k, order, p):
+    def draw(k, order, p):
         letters = "abc"[:k]
         pool = ["".join(t) for t in iproduct(letters, repeat=order + 1)]
         edges = tuple(e for e in pool if rng.random() < p)
         vertices = frozenset("".join(t) for t in iproduct(letters, repeat=order))
-        _assert_circuits_match_naive(RauzyGraph(order, vertices, edges), edges)
+        return RauzyGraph(order, vertices, edges)
 
     for _ in range(400):
-        check(rng.randint(1, 3), rng.randint(1, 3), 0.45)
-    # sparse graphs leave many vertices that cannot reach the start vertex
+        yield draw(rng.randint(1, 3), rng.randint(1, 3), 0.45)
     for _ in range(400):
-        check(rng.randint(1, 3), rng.randint(1, 3), rng.uniform(0.2, 0.3))
+        yield draw(rng.randint(1, 3), rng.randint(1, 3), rng.uniform(0.2, 0.3))
     for _ in range(200):
-        check(2, 4, rng.uniform(0.2, 0.6))
+        yield draw(2, 4, rng.uniform(0.2, 0.6))
+
+
+def test_enumerate_circuits_matches_naive_on_random_subgraphs():
+    # random de Bruijn subgraphs give denser, more tangled shapes than
+    # word-derived graphs: overlapping cycles, self-loops, dead ends
+    for g in _random_subgraphs(random.Random(424242)):
+        _assert_circuits_match_naive(g, g.edges)
+
+
+def _cycles(found):
+    """Circuits given as edge-id lists, each rotated to start at its least id."""
+    out = set()
+    for ids in found:
+        k = ids.index(min(ids))
+        out.add(tuple(ids[k:] + ids[:k]))
+    assert len(out) == len(found), found  # no circuit reported twice
+    return out
+
+
+def _assert_cap_boundary(head, out, size):
+    # exactly cap circuits come back whole; one more than cap raises
+    cap = len(_circuit_edges(head, out, size, DEFAULT_CIRCUIT_CAP))
+    if not cap:
+        return  # a cap is at least 1
+    assert len(_circuit_edges(head, out, size, cap)) == cap
+    with pytest.raises(CircuitCapExceeded):
+        _circuit_edges(head, out, size, cap - 1)
+
+
+def test_circuit_edges_match_naive_under_any_numbering():
+    # the integer search on the random subgraphs, vertices, edges and out
+    # lists numbered in a shuffled order, against the naive string search
+    rng = random.Random(97)
+    for g in _random_subgraphs(random.Random(424242)):
+        names = sorted(g.vertices)
+        rng.shuffle(names)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        vid = {v: j for j, v in enumerate(names)}
+        head = [vid[e[1:]] for e in edges]
+        out = [[] for _ in names]
+        for x, e in enumerate(edges):
+            out[vid[e[:-1]]].append(x)
+        for es in out:
+            rng.shuffle(es)
+        found = _circuit_edges(head, out, len(names), DEFAULT_CIRCUIT_CAP)
+        assert len(_cycles(found)) == len(naive_circuits(g)), g.edges
+        as_strings = {Circuit(tuple(edges[x] for x in ids)).edges for ids in found}
+        assert as_strings == naive_circuits(g), g.edges
+        _assert_cap_boundary(head, out, len(names))
+
+
+def _graph(size, arcs):
+    """``(head, out)`` of an integer multigraph from its ``(tail, head)`` arcs.
+
+    Edge ids follow the order of the arcs.
+    """
+    out = [[] for _ in range(size)]
+    for x, (v, _) in enumerate(arcs):
+        out[v].append(x)
+    return [u for _, u in arcs], out
+
+
+@pytest.mark.parametrize(
+    "size, arcs, cycles",
+    [
+        # one cycle and no branch vertex
+        (3, [(0, 1), (1, 2), (2, 0)], {(0, 1, 2)}),
+        # a branch-free cycle component beside a branch vertex with two loops
+        (5, [(3, 4), (4, 3), (0, 1), (1, 0), (0, 2), (2, 0)], {(0, 1), (2, 3), (4, 5)}),
+        # a self-loop at a branch vertex
+        (2, [(0, 0), (0, 1), (1, 0)], {(0,), (1, 2)}),
+        # two parallel chains each way between branch vertices 0 and 1
+        (
+            5,
+            [(0, 2), (2, 1), (0, 3), (3, 1), (1, 0), (1, 4), (4, 0)],
+            {(0, 1, 4), (0, 1, 5, 6), (2, 3, 4), (2, 3, 5, 6)},
+        ),
+        # parallel edges and a dead end
+        (3, [(0, 1), (0, 1), (1, 0), (1, 2)], {(0, 2), (1, 2)}),
+        # no circuit: a path into a vertex with no way out, and an isolated vertex
+        (4, [(0, 1), (1, 2)], set()),
+    ],
+)
+def test_circuit_edges_on_the_skeleton(size, arcs, cycles):
+    head, out = _graph(size, arcs)
+    assert _cycles(_circuit_edges(head, out, size, DEFAULT_CIRCUIT_CAP)) == cycles
+    _assert_cap_boundary(head, out, size)
 
 
 def test_circuit_cap():
@@ -180,19 +283,27 @@ def test_vector_cycle_rejects_foreign_edges():
     c = enumerate_elementary_circuits(build_rauzy_graph("abab", 1))[0]
     with pytest.raises(ValueError):
         vector_cycle(c, build_rauzy_graph(P3, 2))
-    with pytest.raises(ValueError):
-        _cycle_vectors([c], build_rauzy_graph(P3, 2))
     assert vector_cycle(c, g1) == (1, 0, 1, 0)  # same edge words, fine
-    assert _cycle_vectors([c], g1) == [(1, 0, 1, 0)]
 
 
 def test_cycle_vectors_match_vector_cycle_at_every_order():
+    # the 0/1 vectors over first-occurrence edge ids, moved to the sorted
+    # edge order, are vector_cycle of the public circuits
     for k, top in ((2, 9), (3, 6)):
         for n in range(2, top + 1):
             for w in words_over(k, n):
-                for _, g, _ in _factor_graphs(_FactorTable(w), range(1, n)):
-                    circuits = enumerate_elementary_circuits(g)
-                    assert _cycle_vectors(circuits, g) == [vector_cycle(c, g) for c in circuits]
+                for i, head, out, size in _index_graphs(w, range(1, n)):
+                    g = build_rauzy_graph(w, i)
+                    column = [g.edges.index(e) for e in _first_occurrences(w, i + 1)]
+                    circuits = _circuit_edges(head, out, size, DEFAULT_CIRCUIT_CAP)
+                    moved = []
+                    for v in _edge_vectors(circuits, len(head)):
+                        sorted_v = [0] * len(v)
+                        for x, count in enumerate(v):
+                            sorted_v[column[x]] = count
+                        moved.append(tuple(sorted_v))
+                    public = [vector_cycle(c, g) for c in enumerate_elementary_circuits(g)]
+                    assert sorted(moved) == sorted(public), (w, i)
 
 
 def test_independent_rank_examples():

@@ -26,7 +26,14 @@ from circsq.rauzy import DEFAULT_CIRCUIT_CAP
 from circsq.verify import _iter_nonprimitive, _iter_rename_canonical, _iter_stream, _level
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
-from conftest import brute_circular_squares, brute_extremal, small_circuit_total, words_over
+from conftest import (
+    brute_circular_squares,
+    brute_extremal,
+    fraction_rank,
+    naive_circuits,
+    small_circuit_total,
+    words_over,
+)
 from dataclasses import replace
 from fractions import Fraction
 
@@ -219,8 +226,9 @@ def test_count_chain_example_aab():
 
 
 def test_graph_evaluators_match_a_search_at_every_order():
-    # the sweeps skip Johnson at tree orders (chi = 0); the public route
-    # below searches every order and takes chi from the connectivity check
+    # the sweeps skip the search at tree orders (chi = 0); the public route
+    # below shares the search but runs it at every order and takes chi from
+    # the connectivity check
     from circsq.rauzy import (
         build_rauzy_graph,
         cyclomatic_number,
@@ -242,6 +250,46 @@ def test_graph_evaluators_match_a_search_at_every_order():
                     indep += cyclomatic_number(g)
                 chain = _eval_count_chain(w, cfg)
                 assert (chain.stats["small_count"], chain.stats["indep_total"]) == (small, indep), w
+
+
+def test_graph_evaluators_match_the_naive_oracles():
+    # the evaluators' verdicts and stats against circuits from the naive
+    # string search and ranks from Fraction elimination, at every order
+    from circsq.rauzy import build_rauzy_graph, cyclomatic_number
+    from circsq.verify import _eval_circuit_rank, _eval_count_chain
+
+    def circuits_and_vectors(s, order):
+        g = build_rauzy_graph(s, order)
+        found = naive_circuits(g)
+        vectors = [tuple(int(e in c) for e in g.edges) for c in found]
+        return g, [len(c) for c in found], vectors
+
+    cfg = SweepConfig()
+    for k, top in ((2, 9), (3, 6)):
+        for n in range(2, top + 1):
+            for w in words_over(k, n):
+                expected, sc = [], 0
+                for i in range(1, n):
+                    g, lengths, vectors = circuits_and_vectors(w, i)
+                    small = [v for m, v in zip(lengths, vectors) if m <= i]
+                    sc += len(small)
+                    if fraction_rank(small) != len(small):
+                        expected.append(f"small circuits at order {i} are dependent")
+                    if fraction_rank(vectors) > cyclomatic_number(g):
+                        expected.append(f"circuit rank exceeds chi at order {i}")
+                if sc > n - len(set(w)):
+                    expected.append(f"sc={sc} exceeds n-|alphabet|={n - len(set(w))}")
+                rank = _eval_circuit_rank(w, cfg)
+                assert [detail for _, detail in rank.violations] == expected, w
+                assert rank.stats["small_circuits"] == sc == small_circuit_total(w), w
+                small = indep = 0
+                for order in range(1, n + 1):
+                    g, lengths, _ = circuits_and_vectors(w + w, order)
+                    small += sum(1 for m in lengths if m <= order and 2 * m < n)
+                    indep += cyclomatic_number(g)
+                chain = _eval_count_chain(w, cfg)
+                assert chain.stats["small_count"] == small, w
+                assert chain.stats["indep_total"] == indep, w
 
 
 def test_circuit_rank_examples_direct():
@@ -447,6 +495,20 @@ def test_resolve_checks():
     assert resolve_checks("splits") == frozenset({"splits"})
     with pytest.raises(ValueError):
         resolve_checks("nope")
+
+
+def test_resolve_checks_takes_a_comma_list():
+    pair = frozenset({"bound-5-3", "case-bounds"})
+    assert resolve_checks("bound-5-3,case-bounds") == pair
+    assert resolve_checks("case-bounds,bound-5-3,case-bounds") == pair
+    for selector in ("bound-5-3,nope", "bound-5-3,", "all,splits"):
+        with pytest.raises(ValueError, match="unknown check id"):
+            resolve_checks(selector)
+    with pytest.raises(ValueError, match="'nope'"):
+        resolve_checks("bound-5-3,nope")
+    cfg = SweepConfig(alphabet_size=2, max_length=10)
+    listed = run_suite(replace(cfg, checks=resolve_checks("case-bounds,bound-5-3")))
+    assert listed.to_json() == run_suite(replace(cfg, checks=pair)).to_json()
 
 
 def test_config_validation():
