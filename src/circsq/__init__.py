@@ -14,11 +14,9 @@ from .words import (
     circular_factors,
     factors,
     is_primitive,
-    least_rotation_index,
     primitive_root,
     rename_by_first_occurrence,
     rotations,
-    smallest_period,
     validate_word,
 )
 from .squares import (
@@ -31,7 +29,6 @@ from .squares import (
     distinct_squares_circular,
     distinct_squares_circular_via_doubling,
     odd_even_counts,
-    power_factors,
 )
 from .rauzy import (
     Circuit,

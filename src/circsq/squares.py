@@ -1,13 +1,15 @@
 """Distinct-square and power-factor counting for linear and circular words.
 
 Square detection is a deliberately naive quadratic scan; it is the oracle
-everything else is held to.  Power factors come from a period table: one
-prefix function per start position gives the smallest period of every factor,
-and with it each power factor's primitive root and exponent, with no
-primitivity test per factor.  They are grouped into classes keyed by the
-canonical rotation of their root, split by exponent parity.  The quadratic
-routes (the rotation union for circular squares, a primitivity test on every
-factor for power factors) are kept as the oracles the tests compare against.
+everything else is held to.  Power factors come from one scan of the word's
+periodic runs: a power ``q ** k`` (``k >= 2``, ``q`` primitive) lies in a
+maximal ``|q|``-periodic run, and its presence implies ``q ** (k - 1)``, so a
+class keyed by the canonical rotation of its root is fully given by each
+conjugate's top exponent, with no primitivity test per factor.  The sweeps
+read those tops; :func:`class_decomposition` spells them out as member sets
+split by exponent parity.  The quadratic routes (the rotation union for
+circular squares, a primitivity test on every factor for power factors) are
+kept as the oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "distinct_squares",
     "distinct_squares_circular",
     "distinct_squares_circular_via_doubling",
-    "power_factors",
     "class_decomposition",
     "odd_even_counts",
     "decomposition_report",
@@ -96,41 +97,65 @@ def distinct_squares_circular_via_doubling(cw: CircularWord) -> SquareSet:
     return SquareSet(frozenset(found))
 
 
-def _power_table(w: str) -> dict[str, tuple[str, int]]:
-    """Every power factor of ``w`` mapped to its primitive root and exponent.
+def _class_tops(w: str) -> tuple[tuple[str, int, int, dict[str, int]], ...]:
+    """The power classes of ``w`` as ``(root, t, even, tops)``, by root length, then root.
 
-    For each start ``i`` one prefix-function pass over ``w[i:]`` gives the
-    longest border ``b`` of each factor ``w[i:i + m]``, so its smallest period
-    is ``p = m - b``.  The factor is a power ``u ** k`` with ``k >= 2`` exactly
-    when ``p`` divides ``m`` and ``p <= m / 2``; then ``u = w[i:i + p]`` and
-    ``k = m // p``.  ``w`` must already be validated.
+    ``root`` is the canonical rotation of the class's primitive root, and
+    ``tops`` maps each conjugate ``q`` of it whose square occurs to the
+    largest ``k`` with ``q ** k`` a factor.  Where ``q ** k`` occurs so does
+    ``q ** (k - 1)``, so the members are ``q ** k`` for ``k = 2 .. tops[q]``:
+    ``t`` of them, ``even`` with an even exponent.
+
+    A factor ``q ** k`` with ``|q| = p`` lies in a maximal ``p``-periodic run
+    of length at least ``2p``.  For each period ``p`` in ascending order the
+    runs are ``w[a:b + p]`` for the maximal stretches ``[a, b)`` of positions
+    with ``w[j] == w[j + p]`` and ``b - a >= p``; probing every ``p``-th
+    position, restarting ``p`` past each stretch, hits every such stretch.  A
+    run's ``p``-prefix is primitive unless it has a shorter period, and then
+    the same interval was a run at that period already, so a repeated
+    interval is dropped.  The conjugate at offset ``i`` of a run's first
+    ``p`` reaches exponent ``(b + p - i) // p`` in it.  ``w`` must already be
+    validated.
     """
     n = len(w)
-    table: dict[str, tuple[str, int]] = {}
-    for i in range(n - 1):
-        border = [0] * (n - i)
-        b = 0
-        for j in range(i + 1, n):
-            c = w[j]
-            while b and w[i + b] != c:
-                b = border[b - 1]
-            if w[i + b] == c:
+    seen: set[tuple[int, int]] = set()
+    classes = []
+    for p in range(1, n // 2 + 1):
+        groups: dict[str, dict[str, int]] = {}  # canonical root -> conjugate -> top
+        last = n - p  # w[j + p] exists for j < last
+        j = p - 1
+        while j < last:
+            if w[j] != w[j + p]:
+                j += p
+                continue
+            a = j
+            while a and w[a - 1] == w[a - 1 + p]:
+                a -= 1
+            b = j + 1
+            while b < last and w[b] == w[b + p]:
                 b += 1
-            border[j - i] = b
-            m = j - i + 1
-            if 2 * b >= m:
-                p = m - b
-                if m % p == 0:
-                    f = w[i : j + 1]
-                    if f not in table:
-                        table[f] = (w[i : i + p], m // p)
-    return table
-
-
-def power_factors(w: str) -> set[str]:
-    """All factors of ``w`` that are integer powers ``p * k`` with ``k >= 2``."""
-    validate_word(w)
-    return set(_power_table(w))
+            j = e = b + p
+            if b - a < p or (a, e) in seen:
+                continue
+            seen.add((a, e))
+            root = w[a : a + p]
+            if p > 1:  # a one-letter root is its own least rotation
+                r = _least_rotation_index(root)
+                root = root[r:] + root[:r]
+            tops = groups.setdefault(root, {})
+            for i in range(a, min(a + p, b - p + 1)):
+                q = w[i : i + p]
+                k = (e - i) // p
+                if k > tops.get(q, 0):
+                    tops[q] = k
+        for root in sorted(groups):
+            tops = groups[root]
+            t = even = 0
+            for k in tops.values():
+                t += k - 1
+                even += k // 2
+            classes.append((root, t, even, tops))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -161,7 +186,7 @@ class PowerClass:
 
     @classmethod
     def _trusted(cls, root, members, even, odd) -> PowerClass:
-        """A class built from the period table, which makes it valid by construction.
+        """A class built from its runs' top exponents, valid by construction.
 
         Skips ``__post_init__``: re-deriving every member's root there costs
         more than building the class.  Only :func:`class_decomposition` uses it.
@@ -189,28 +214,11 @@ class ClassDecomposition:
 
 def class_decomposition(w: str) -> ClassDecomposition:
     """Partition the power factors of ``w`` by primitive-root conjugacy."""
-    validate_word(w)
-    keys: dict[str, str] = {}  # primitive root -> its canonical rotation
-    groups: dict[str, tuple[set[str], set[str]]] = {}  # key -> (members, even)
-    for q, (root, k) in _power_table(w).items():
-        key = keys.get(root)
-        if key is None:
-            if len(root) == 1:
-                key = root  # a one-letter root is its own least rotation
-            else:
-                r = _least_rotation_index(root)  # a factor of w, already validated
-                key = root[r:] + root[:r]
-            keys[root] = key
-        members, even = groups.setdefault(key, (set(), set()))
-        members.add(q)
-        if k % 2 == 0:
-            even.add(q)
     classes = []
-    for key in sorted(groups, key=lambda r: (len(r), r)):
-        members, even = groups[key]
-        classes.append(
-            PowerClass._trusted(key, frozenset(members), frozenset(even), frozenset(members - even))
-        )
+    for root, _, _, tops in _class_tops(validate_word(w)):
+        even = frozenset(q * k for q, top in tops.items() for k in range(2, top + 1, 2))
+        odd = frozenset(q * k for q, top in tops.items() for k in range(3, top + 1, 2))
+        classes.append(PowerClass._trusted(root, even | odd, even, odd))
     return ClassDecomposition(w, tuple(classes))
 
 

@@ -34,10 +34,13 @@ filtered out of the renamed words.  The graph checks (``circuit-rank``,
 integer ids cut straight from the word and take its circuits, as edge-id
 lists, from the one circuit search in :mod:`circsq.rauzy`, which runs over
 the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
-since every higher order is then a path.  Checks that read one word stream share
-a pass over it per length and compute a shared fact once per word; with
-several jobs each worker of one pool per suite sweeps one contiguous range
-of each level's stream.  A sweep, with one job or several, can checkpoint
+since every higher order is then a path.  The class checks (``class-parity``,
+``class-circuits``, ``count-chain``) read each power class as its conjugates'
+top exponents, from one scan of the word's periodic runs, and count its
+members from them.  Checks that read one word stream share a pass over it
+per length and compute a shared fact once per word; with several jobs each
+worker of one pool per suite sweeps one contiguous range of each level's
+stream.  A sweep, with one job or several, can checkpoint
 to a line-oriented file whose v3 header fingerprints its config.  Levels,
 worker ranges, restored levels and built-in instances are all
 :class:`CheckReport` values folded by :meth:`CheckReport.merge`.
@@ -67,7 +70,7 @@ from .rauzy import (
     split_point,
 )
 from .squares import (
-    class_decomposition,
+    _class_tops,
     odd_even_counts,
 )
 from .words import (
@@ -268,7 +271,7 @@ def _square_scan(s: str, n: int) -> set[str]:
 # They look the module-level names up per call, so a wrapper installed there
 # still sees every computation.
 _square_count = lru_cache(maxsize=1)(lambda w: circular_square_count(w))
-_classes = lru_cache(maxsize=1)(lambda w: class_decomposition(w).classes)
+_classes = lru_cache(maxsize=1)(lambda w: _class_tops(w))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +518,8 @@ def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
     predicted = 0
     realized = 0
     beyond = 0
-    for pc in _classes(w):
-        p, l, t = pc.root, pc.root_length, pc.t
+    for p, t, _, _ in _classes(w):
+        l = len(p)
         predicted += t
         reach = _class_reach(w, p)
         realized += max(0, min(t, reach - l))
@@ -530,23 +533,17 @@ def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
     return out
 
 
-def _has_level_structure(pc) -> bool:
+def _has_level_structure(tops: dict[str, int], t: int, l: int) -> bool:
     """Exponent sets are {2..r+1} on every conjugate plus s extras at r+2.
 
-    Only the top exponent per conjugate is read: each must be r+1 or r+2,
-    with exactly s at r+2.  Tops that pass allow at most c*r + s members on
-    the c conjugates present, and there are t = l*r + s of them, so every
-    conjugate is present once r >= 1 and no exponent below a top is missing.
+    A conjugate's exponents run from 2 to its top, so only the tops are read:
+    each must be r+1 or r+2, with exactly s at r+2.  Tops that pass give
+    c*r + s members on the c conjugates present, and there are t = l*r + s of
+    them, so every conjugate is present once r >= 1.
     """
-    l = pc.root_length
-    r, s = divmod(pc.t, l)
-    top: dict[str, int] = {}
-    for m in pc.members:
-        q, k = m[:l], len(m) // l
-        if k > top.get(q, 0):
-            top[q] = k
+    r, s = divmod(t, l)
     extras = 0
-    for k in top.values():
+    for k in tops.values():
         if k == r + 2:
             extras += 1
         elif k != r + 1:
@@ -557,25 +554,22 @@ def _has_level_structure(pc) -> bool:
 def _eval_class_parity(w: str, cfg: SweepConfig) -> _Outcome:
     out = _Outcome()
     even_total = 0
-    for pc in _classes(w):
-        even_total += len(pc.even)
-        t, l = pc.t, pc.root_length
-        n_odd, n_even = len(pc.odd), len(pc.even)
+    for p, t, n_even, tops in _classes(w):
+        l, n_odd = len(p), t - n_even
+        even_total += n_even
         if not n_odd <= n_even <= n_odd + l:
             out.violations.append(
-                (w, f"class {pc.root}: |O|={n_odd} |E|={n_even} l={l} breaks parity bounds")
+                (w, f"class {p}: |O|={n_odd} |E|={n_even} l={l} breaks parity bounds")
             )
         if 2 * n_odd < t - l:
-            out.violations.append(
-                (w, f"class {pc.root}: |O|={n_odd} below (t-l)/2 with t={t} l={l}")
-            )
-        if _has_level_structure(pc):
+            out.violations.append((w, f"class {p}: |O|={n_odd} below (t-l)/2 with t={t} l={l}"))
+        if _has_level_structure(tops, t, l):
             if (n_odd, n_even) != odd_even_counts(t, l):
                 out.violations.append(
-                    (w, f"class {pc.root}: parity counts differ from the level formula")
+                    (w, f"class {p}: parity counts differ from the level formula")
                 )
         else:
-            out.flagged.append((w, f"class {pc.root}: exponent levels are not an initial run"))
+            out.flagged.append((w, f"class {p}: exponent levels are not an initial run"))
             out.stats["irregular_classes"] = out.stats.get("irregular_classes", 0) + 1
     sq = len(_square_scan(w, len(w)))
     if even_total != sq:
@@ -658,12 +652,12 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
     doubled = w + w
     power_small = 0
     realized = 0
-    for pc in class_decomposition(doubled).classes:
-        l, t = pc.root_length, pc.t
+    for p, t, _, _ in _class_tops(doubled):
+        l = len(p)
         if 2 * l >= n:
             continue
         power_small += t
-        realized += max(0, min(t, _class_reach(doubled, pc.root) - l))
+        realized += max(0, min(t, _class_reach(doubled, p) - l))
 
     small_count = 0
     indep_total = 0

@@ -18,13 +18,11 @@ __all__ = [
     "validate_word",
     "alphabet",
     "rotations",
-    "least_rotation_index",
     "canonical_rotation",
     "is_primitive",
     "primitive_root",
     "factors",
     "circular_factors",
-    "smallest_period",
     "rename_by_first_occurrence",
 ]
 
@@ -61,17 +59,12 @@ def rotations(w: str) -> list[str]:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def least_rotation_index(w: str) -> int:
+def _least_rotation_index(w: str) -> int:
     """Index ``k`` such that ``w[k:] + w[:k]`` is the least rotation of ``w``.
 
-    Booth's algorithm, O(n).  Cross-checked against the naive minimum in the
-    test suite.
+    Booth's algorithm, O(n), on a word that is already validated.
+    Cross-checked against the naive minimum in the test suite.
     """
-    return _least_rotation_index(validate_word(w))
-
-
-def _least_rotation_index(w: str) -> int:
-    """:func:`least_rotation_index` of a word that is already validated."""
     doubled = w + w
     n2 = len(doubled)
     fail = [-1] * n2
@@ -94,7 +87,7 @@ def _least_rotation_index(w: str) -> int:
 
 def canonical_rotation(w: str) -> str:
     """The lexicographically least rotation of ``w``."""
-    k = least_rotation_index(w)
+    k = _least_rotation_index(validate_word(w))
     return w[k:] + w[:k]
 
 
@@ -169,27 +162,6 @@ def circular_factors(w: str, m: int) -> set[str]:
     n = len(w)
     power = w * (m // n + 2)
     return {power[i : i + m] for i in range(n)}
-
-
-def _prefix_function(w: str) -> list[int]:
-    pi = [0] * len(w)
-    k = 0
-    for i in range(1, len(w)):
-        while k and w[k] != w[i]:
-            k = pi[k - 1]
-        if w[k] == w[i]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
-def smallest_period(w: str) -> int:
-    """Least ``p >= 1`` with ``w[i] == w[i + p]`` wherever both sides exist.
-
-    Equals ``len(w)`` minus the longest proper border.
-    """
-    validate_word(w)
-    return len(w) - _prefix_function(w)[-1]
 
 
 def rename_by_first_occurrence(w: str) -> str:

@@ -26,15 +26,6 @@ def naive_is_primitive(w: str) -> bool:
     return True
 
 
-def naive_periods(w: str) -> list[int]:
-    n = len(w)
-    out = []
-    for p in range(1, n + 1):
-        if all(w[i] == w[i + p] for i in range(n - p)):
-            out.append(p)
-    return out
-
-
 def brute_squares(w: str) -> set[str]:
     found = set()
     n = len(w)

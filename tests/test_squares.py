@@ -8,14 +8,13 @@ import pytest
 from circsq.squares import (
     PowerClass,
     SquareSet,
-    _power_table,
+    _class_tops,
     class_decomposition,
     decomposition_report,
     distinct_squares,
     distinct_squares_circular,
     distinct_squares_circular_via_doubling,
     odd_even_counts,
-    power_factors,
 )
 from circsq.words import (
     CircularWord,
@@ -30,6 +29,7 @@ from conftest import (
     brute_circular_squares,
     brute_power_factors,
     brute_squares,
+    naive_least_rotation,
     words_over,
 )
 
@@ -107,37 +107,54 @@ def test_square_set_validates_shape():
     assert sorted(SquareSet(frozenset({"bb", "aa"}))) == ["aa", "bb"]
 
 
-def test_power_factors_examples():
-    assert power_factors("aaa") == {"aa", "aaa"}
-    assert power_factors("abab") == {"abab"}
-    assert brute_power_factors("abab") == {"abab"}
-    assert power_factors("abc") == set()
+def _brute_class_tops(w):
+    """Every factor's primitive root and exponent, grouped by least rotation of
+    the root: ``(root, t, even, tops)`` in the order :func:`_class_tops` uses."""
+    members = {}
+    n = len(w)
+    for i in range(n):
+        for j in range(i + 2, n + 1):
+            q, k = primitive_root(w[i:j])
+            if k >= 2:
+                members.setdefault(naive_least_rotation(q), {})[w[i:j]] = (q, k)
+    out = []
+    for root in sorted(members, key=lambda r: (len(r), r)):
+        tops = {}
+        for q, k in members[root].values():
+            tops[q] = max(tops.get(q, 0), k)
+        even = sum(1 for _, k in members[root].values() if k % 2 == 0)
+        out.append((root, len(members[root]), even, tops))
+    return out
 
 
-def test_power_factors_matches_brute():
-    for n in range(1, 10):
-        for w in words_over(2, n):
-            assert power_factors(w) == brute_power_factors(w), w
-    for n in range(1, 8):
-        for w in words_over(3, n):
-            assert power_factors(w) == brute_power_factors(w), w
+def test_class_tops_match_brute_force_exhaustively():
+    # tops[q] is the largest k with q ** k a factor, and every factor that is a
+    # proper power sits in its root's class; the doubled words are what
+    # count-chain reads
+    words = [w for n in range(1, 13) for w in words_over(2, n)]
+    words += [w for n in range(1, 9) for w in words_over(3, n)]
+    words += [w + w for n in range(1, 9) for w in words_over(2, n)]
+    words += [w + w for n in range(1, 6) for w in words_over(3, n)]
+    for w in words:
+        assert list(_class_tops(w)) == _brute_class_tops(w), w
 
 
-def test_power_table_roots_match_primitive_root_exhaustively():
-    # a factor missing from the table must be primitive: its own root, exponent 1
-    for k, top in ((2, 10), (3, 7)):
-        for n in range(1, top + 1):
-            for w in words_over(k, n):
-                table = _power_table(w)
-                for i in range(n):
-                    for j in range(i + 1, n + 1):
-                        f = w[i:j]
-                        assert table.get(f, (f, 1)) == primitive_root(f), (w, f)
+def test_class_tops_named_cases():
+    # at p = 2 the run (0, 4) repeats the p = 1 interval: its prefix "aa" is no root
+    assert _class_tops("aaaa") == (("a", 3, 2, {"a": 4}),)
+    # the class of "ab" is fed by two runs, "abab" and "babab"; "ba" by the second only
+    assert _class_tops("ababbabab") == (
+        ("b", 1, 1, {"b": 2}),
+        ("ab", 2, 2, {"ab": 2, "ba": 2}),
+        ("abb", 1, 1, {"bab": 2}),
+    )
+    # "ab" tops at 2 in the first run and at 3 in the later one
+    assert _class_tops("ababcababab") == (("ab", 3, 2, {"ab": 3, "ba": 2}),)
 
 
 def test_power_entry_points_reject_invalid_words():
     for bad in ("", "ab\u00e9ab"):
-        for fn in (power_factors, class_decomposition, decomposition_report):
+        for fn in (class_decomposition, decomposition_report):
             with pytest.raises(InvalidWordError):
                 fn(bad)
 

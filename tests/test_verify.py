@@ -335,12 +335,15 @@ def test_class_reach_matches_contains_class_circuit_at_every_order():
                         assert (order + 1 <= reach) == realized, (w, p, order)
 
 
-def _power_class(root, members):
-    """A :class:`PowerClass` through its validating constructor."""
+def _power_class(root, tops):
+    """A class given by its conjugates' top exponents, in the sweeps' shape
+    ``(root, t, even, tops)``, and spelled out as a validated :class:`PowerClass`."""
     from circsq.squares import PowerClass
 
+    members = {q * k for q, top in tops.items() for k in range(2, top + 1)}
     even = {m for m in members if len(m) // len(root) % 2 == 0}
-    return PowerClass(root, frozenset(members), frozenset(even), frozenset(members - even))
+    pc = PowerClass(root, frozenset(members), frozenset(even), frozenset(members - even))
+    return (root, pc.t, len(pc.even), tops), pc
 
 
 def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
@@ -357,8 +360,8 @@ def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
             return order + 1 <= n and contains_class_circuit(w, p, order)
 
         violations, realized, beyond = [], 0, 0
-        for pc in classes:
-            p, l, t = pc.root, pc.root_length, pc.t
+        for p, t, _, _ in classes:
+            l = len(p)
             for order in range(l, l + t):
                 if realizes(p, order):
                     realized += 1
@@ -372,10 +375,10 @@ def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
         return violations, realized, beyond
 
     w = "abababba"  # (ab)^oo reaches 5: "ababab" and "babab" occur, "bababa" does not
-    ab5 = _power_class("ab", {"abab", "baba", "ababab", "bababa", "abababab"})
-    abb = _power_class("abb", {"abbabb", "bbabba"})  # "bbab" does not occur: reach 3
-    a = _power_class("a", {"aa"})
-    ab2 = _power_class("ab", {"abab", "baba"})
+    ab5, _ = _power_class("ab", {"ab": 4, "ba": 3})  # t = 5
+    abb, _ = _power_class("abb", {"abb": 2, "bba": 2})  # "bbab" does not occur: reach 3
+    a, _ = _power_class("a", {"a": 2})
+    ab2, _ = _power_class("ab", {"ab": 2, "ba": 2})
     cases = [
         ([ab5, abb, a], [(ab5, 5), (ab5, 6), (abb, 3), (abb, 4), (a, 1)], 3, 0),
         ([ab2], [], 2, 1),
@@ -384,8 +387,8 @@ def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
         monkeypatch.setattr(verify, "_classes", lambda word: classes)
         out = _eval_class_circuits(w, SweepConfig())
         expected = [
-            (w, f"class {pc.root} (t={pc.t}) has no small circuit at order {o}")
-            for pc, o in missing
+            (w, f"class {p} (t={t}) has no small circuit at order {o}")
+            for (p, t, _, _), o in missing
         ]
         assert out.violations == expected
         assert (out.stats["realized"], out.stats.get("beyond_window", 0)) == (realized, beyond)
@@ -409,23 +412,26 @@ def _set_level_structure(pc):
 
 
 def test_level_structure_matches_the_set_definition():
-    from circsq.squares import class_decomposition
+    from circsq.squares import _class_tops, class_decomposition
     from circsq.verify import _has_level_structure
 
     for n in range(1, 9):
         for w in words_over(3, n):
-            for pc in class_decomposition(w).classes:
-                assert _has_level_structure(pc) == _set_level_structure(pc), (w, pc.root)
+            decomp = class_decomposition(w).classes
+            for (p, t, _, tops), pc in zip(_class_tops(w), decomp, strict=True):
+                assert p == pc.root, w
+                assert _has_level_structure(tops, t, len(p)) == _set_level_structure(pc), (w, p)
+    # a gap below a top cannot be written as tops: every exponent 2..top is there
     broken = [
-        {"abab", "abababab"},  # a gap: exponent 3 is missing
-        {"abab", "ababab"},  # the conjugate "ba" is missing
-        {"abab", "ababab", "bababa"},  # two conjugates at r + 2 = 3, but s = 1
+        ("ab", {"ab": 3}),  # the conjugate "ba" is missing
+        ("aab", {"aab": 3, "aba": 3}),  # two conjugates at r + 2 = 3, but s = 1
+        ("ab", {"ab": 4, "ba": 2}),  # t = 4 puts every top at r + 1 = 3
     ]
-    for members in broken:
-        pc = _power_class("ab", members)
-        assert not _has_level_structure(pc) and not _set_level_structure(pc), members
-    pc = _power_class("ab", {"abab", "baba", "ababab"})
-    assert _has_level_structure(pc) and _set_level_structure(pc)
+    for root, tops in broken:
+        (p, t, _, _), pc = _power_class(root, tops)
+        assert not _has_level_structure(tops, t, len(p)) and not _set_level_structure(pc), tops
+    (p, t, _, tops), pc = _power_class("ab", {"ab": 3, "ba": 2})
+    assert _has_level_structure(tops, t, len(p)) and _set_level_structure(pc)
 
 
 def test_case_classification_examples():

@@ -1,4 +1,4 @@
-"""Word algebra: rotations, canonical forms, primitivity, periods, factor sets."""
+"""Word algebra: rotations, canonical forms, primitivity, factor sets."""
 
 import pytest
 
@@ -13,11 +13,10 @@ from circsq.words import (
     primitive_root,
     rename_by_first_occurrence,
     rotations,
-    smallest_period,
     validate_word,
 )
 
-from conftest import naive_is_primitive, naive_least_rotation, naive_periods, words_over
+from conftest import naive_is_primitive, naive_least_rotation, words_over
 
 
 P3 = "abacabacabac"
@@ -145,31 +144,6 @@ def test_circular_factors_integer_multiple_gives_class_size():
     assert len(circular_factors("abab", 8)) == 2
 
 
-def test_smallest_period_examples():
-    assert smallest_period("ababa") == 2
-    assert smallest_period("abc") == 3
-    assert smallest_period("aaaa") == 1
-    assert smallest_period("abaab") == 3
-
-
-def test_smallest_period_matches_naive():
-    for n in range(1, 10):
-        for w in words_over(3, n):
-            assert smallest_period(w) == naive_periods(w)[0], w
-
-
-def test_smallest_period_of_powers_of_primitive_roots():
-    # k = 1 is excluded: a primitive word may have a shorter non-divisor
-    # period (aba has period 2), but true powers pin the period to the root
-    assert smallest_period("aba") == 2
-    for n in range(1, 7):
-        for u in words_over(2, n):
-            if not is_primitive(u):
-                continue
-            for k in range(2, 5):
-                assert smallest_period(u * k) == len(u), (u, k)
-
-
 def test_alphabet():
     assert alphabet("abacaba") == {"a", "b", "c"}
 
@@ -188,7 +162,6 @@ def test_rename_by_first_occurrence():
         canonical_rotation,
         is_primitive,
         primitive_root,
-        smallest_period,
         alphabet,
     ],
 )
