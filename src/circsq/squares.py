@@ -1,15 +1,16 @@
 """Distinct-square and power-factor counting for linear and circular words.
 
-Square detection is a deliberately naive quadratic scan; it is the oracle
-everything else is held to.  Power factors come from one scan of the word's
-periodic runs: a power ``q ** k`` (``k >= 2``, ``q`` primitive) lies in a
-maximal ``|q|``-periodic run, and its presence implies ``q ** (k - 1)``, so a
-class keyed by the canonical rotation of its root is fully given by each
-conjugate's top exponent, with no primitivity test per factor.  The sweeps
-read those tops; :func:`class_decomposition` spells them out as member sets
-split by exponent parity.  The quadratic routes (the rotation union for
-circular squares, a primitivity test on every factor for power factors) are
-kept as the oracles the tests compare against.
+Square detection is one deliberately naive quadratic scan,
+:func:`_square_scan`: linear squares, circular squares on the doubled word and
+the sweeps' counts all read it, and the rotation union
+:func:`distinct_squares_circular` is kept as its oracle.  Power factors come
+from one scan of the word's periodic runs: a power ``q ** k`` (``k >= 2``,
+``q`` primitive) lies in a maximal ``|q|``-periodic run, and its presence
+implies ``q ** (k - 1)``, so a class keyed by the canonical rotation of its
+root is fully given by each conjugate's top exponent, with no primitivity test
+per factor.  The sweeps read those tops; :func:`class_decomposition` spells
+them out as member sets split by exponent parity; a primitivity test on every
+factor is kept as their oracle.
 """
 
 from __future__ import annotations
@@ -65,16 +66,25 @@ class SquareSet:
         return s in self.squares
 
 
+def _square_scan(s: str, n: int) -> set[str]:
+    """The distinct squares of ``s`` no longer than ``n`` that start before ``n``.
+
+    ``_square_scan(w, len(w))`` gives the linear squares of ``w``, and
+    ``_square_scan(w + w, len(w))`` its circular ones: a factor of length at
+    most ``n`` starting at ``i >= n`` equals the one starting at ``i - n``.
+    """
+    found = set()
+    for half in range(1, n // 2 + 1):
+        fits = len(s) - 2 * half + 1  # starts at which a square of this half fits in s
+        for i in range(n if n < fits else fits):
+            if s[i : i + half] == s[i + half : i + 2 * half]:
+                found.add(s[i : i + 2 * half])
+    return found
+
+
 def distinct_squares(w: str) -> SquareSet:
     """All distinct nonempty squares occurring as factors of ``w``."""
-    validate_word(w)
-    n = len(w)
-    found: set[str] = set()
-    for half in range(1, n // 2 + 1):
-        for i in range(n - 2 * half + 1):
-            if w[i : i + half] == w[i + half : i + 2 * half]:
-                found.add(w[i : i + 2 * half])
-    return SquareSet(frozenset(found))
+    return SquareSet(frozenset(_square_scan(validate_word(w), len(w))))
 
 
 def distinct_squares_circular(cw: CircularWord) -> SquareSet:
@@ -89,12 +99,10 @@ def distinct_squares_circular_via_doubling(cw: CircularWord) -> SquareSet:
     """Squares of the doubled word no longer than one period.
 
     Equals :func:`distinct_squares_circular` and serves as its independent
-    route: a single scan of ``w * 2`` instead of a union over rotations.
+    route: one scan of the first ``n`` starts of ``w * 2`` instead of a
+    union over rotations.
     """
-    n = cw.n
-    doubled = cw.canonical * 2
-    found = {s for s in distinct_squares(doubled).squares if len(s) <= n}
-    return SquareSet(frozenset(found))
+    return SquareSet(frozenset(_square_scan(cw.canonical * 2, cw.n)))
 
 
 def _class_tops(w: str) -> tuple[tuple[str, int, int, dict[str, int]], ...]:

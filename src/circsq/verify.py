@@ -41,9 +41,13 @@ members from them.  Checks that read one word stream share a pass over it
 per length and compute a shared fact once per word; with several jobs each
 worker of one pool per suite sweeps one contiguous range of each level's
 stream.  A sweep, with one job or several, can checkpoint
-to a line-oriented file whose v3 header fingerprints its config.  Levels,
-worker ranges, restored levels and built-in instances are all
-:class:`CheckReport` values folded by :meth:`CheckReport.merge`.
+to a line-oriented file whose v3 header fingerprints its config.  Each
+per-word evaluator writes straight into the :class:`CheckReport` of the
+level it sweeps: it appends violations, flagged entries and a word its
+circuit cap skipped, offers its ratio as the witness, and adds to stats
+through :meth:`CheckReport.count`.  Levels, worker ranges, restored levels
+and built-in instances are all :class:`CheckReport` values folded by
+:meth:`CheckReport.merge`.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ from .rauzy import (
 )
 from .squares import (
     _class_tops,
+    _square_scan,
     odd_even_counts,
 )
 from .words import (
@@ -110,6 +115,9 @@ CHECK_ORDER = (
 
 _CHECKPOINT_MAGIC = "circsq-checkpoint v3"
 _CHECKPOINT_LISTS = ("violations", "flagged", "skipped")
+_CHECKPOINT_KEYS = frozenset(
+    ("done", "last", "tested", "ratio", "witness", "stats") + _CHECKPOINT_LISTS
+)
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +257,7 @@ def circular_square_count(w: str) -> int:
     any word).
     """
     validate_word(w)
-    # A factor of length <= n starting at i >= n equals the one starting at i - n.
     return len(_square_scan(w + w, len(w)))
-
-
-def _square_scan(s: str, n: int) -> set[str]:
-    """The distinct squares of ``s`` no longer than ``n`` that start before ``n``.
-
-    ``_square_scan(w, len(w))`` gives the linear squares of ``w``.
-    """
-    found = set()
-    for half in range(1, n // 2 + 1):
-        fits = len(s) - 2 * half + 1  # starts at which a square of this half fits in s
-        for i in range(n if n < fits else fits):
-            if s[i : i + half] == s[i + half : i + 2 * half]:
-                found.add(s[i : i + 2 * half])
-    return found
 
 
 # One-entry memos of facts that several checks of a stream read, word by word.
@@ -353,16 +346,9 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def add(self, word: str, out: "_Outcome") -> None:
-        """Fold in the outcome of evaluating one word."""
-        self.words_tested += 1
-        self.violations.extend(out.violations)
-        self.flagged.extend(out.flagged)
-        if out.skipped:
-            self.skipped.append(word)
-        self._offer_witness(out.ratio, word)
-        for key, val in out.stats.items():
-            self.stats[key] = self.stats.get(key, 0) + val
+    def count(self, key: str, val: int = 1) -> None:
+        """Add ``val`` to the stat ``key``; a first count creates it, even at 0."""
+        self.stats[key] = self.stats.get(key, 0) + val
 
     def merge(self, other: "CheckReport") -> None:
         """Fold in a report over words that come after this one's in stream order."""
@@ -372,7 +358,7 @@ class CheckReport:
         self.skipped.extend(other.skipped)
         self._offer_witness(other.max_ratio, other.witness)
         for key, val in other.stats.items():
-            self.stats[key] = self.stats.get(key, 0) + val
+            self.count(key, val)
 
     def _offer_witness(self, ratio: Fraction | None, word: str | None) -> None:
         # Only a strictly greater ratio replaces the witness, so the first
@@ -426,48 +412,30 @@ class SuiteReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-class _Outcome:
-    """What evaluating a single word produced."""
-
-    __slots__ = ("violations", "flagged", "skipped", "ratio", "stats")
-
-    def __init__(self) -> None:
-        self.violations: list[tuple[str, str]] = []
-        self.flagged: list[tuple[str, str]] = []
-        self.skipped = False
-        self.ratio: Fraction | None = None
-        self.stats: dict[str, int] = {}
-
-
 # ---------------------------------------------------------------------------
 # per-word evaluators
 
 
-def _eval_bound_5_3(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_bound_5_3(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     s = _square_count(w)
-    out.ratio = Fraction(s, n)
+    rep._offer_witness(Fraction(s, n), w)
     if 3 * s > 5 * n:
-        out.violations.append((w, f"Sq={s} exceeds 5n/3 with n={n}"))
+        rep.violations.append((w, f"Sq={s} exceeds 5n/3 with n={n}"))
     if 2 * s > 3 * n:
-        out.flagged.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
-        out.stats["ratio_above_3_2"] = 1
-    return out
+        rep.flagged.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
+        rep.count("ratio_above_3_2")
 
 
-def _eval_bound_nonprimitive(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_bound_nonprimitive(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     s = _square_count(w)
-    out.ratio = Fraction(s, n)
+    rep._offer_witness(Fraction(s, n), w)
     if 2 * s > 3 * n:
-        out.violations.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
-    return out
+        rep.violations.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
 
 
-def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     sc_total = 0
     for i, head, edges_out, size in _index_graphs(w, range(1, n)):
@@ -479,20 +447,19 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig) -> _Outcome:
         try:
             circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
         except CircuitCapExceeded:
-            out.skipped = True
-            return out
+            rep.skipped.append(w)
+            return
         vectors = _edge_vectors(circuits, len(head))
         small = [v for c, v in zip(circuits, vectors) if len(c) <= i]
         sc_total += len(small)
         if small and independent_rank(small) != len(small):
-            out.violations.append((w, f"small circuits at order {i} are dependent"))
+            rep.violations.append((w, f"small circuits at order {i} are dependent"))
         if circuits and independent_rank(vectors) > chi:
-            out.violations.append((w, f"circuit rank exceeds chi at order {i}"))
+            rep.violations.append((w, f"circuit rank exceeds chi at order {i}"))
     bound = n - len(set(w))
     if sc_total > bound:
-        out.violations.append((w, f"sc={sc_total} exceeds n-|alphabet|={bound}"))
-    out.stats["small_circuits"] = sc_total
-    return out
+        rep.violations.append((w, f"sc={sc_total} exceeds n-|alphabet|={bound}"))
+    rep.count("small_circuits", sc_total)
 
 
 def _class_reach(w: str, p: str) -> int:
@@ -513,8 +480,7 @@ def _class_reach(w: str, p: str) -> int:
     return reach
 
 
-def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_class_circuits(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     predicted = 0
     realized = 0
     beyond = 0
@@ -524,13 +490,12 @@ def _eval_class_circuits(w: str, cfg: SweepConfig) -> _Outcome:
         reach = _class_reach(w, p)
         realized += max(0, min(t, reach - l))
         for order in range(max(l, reach), l + t):
-            out.violations.append((w, f"class {p} (t={t}) has no small circuit at order {order}"))
+            rep.violations.append((w, f"class {p} (t={t}) has no small circuit at order {order}"))
         beyond += max(0, reach - t - l)
-    out.stats["predicted"] = predicted
-    out.stats["realized"] = realized
+    rep.count("predicted", predicted)
+    rep.count("realized", realized)
     if beyond:
-        out.stats["beyond_window"] = beyond
-    return out
+        rep.count("beyond_window", beyond)
 
 
 def _has_level_structure(tops: dict[str, int], t: int, l: int) -> bool:
@@ -551,53 +516,49 @@ def _has_level_structure(tops: dict[str, int], t: int, l: int) -> bool:
     return extras == s
 
 
-def _eval_class_parity(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_class_parity(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     even_total = 0
     for p, t, n_even, tops in _classes(w):
         l, n_odd = len(p), t - n_even
         even_total += n_even
         if not n_odd <= n_even <= n_odd + l:
-            out.violations.append(
+            rep.violations.append(
                 (w, f"class {p}: |O|={n_odd} |E|={n_even} l={l} breaks parity bounds")
             )
         if 2 * n_odd < t - l:
-            out.violations.append((w, f"class {p}: |O|={n_odd} below (t-l)/2 with t={t} l={l}"))
+            rep.violations.append((w, f"class {p}: |O|={n_odd} below (t-l)/2 with t={t} l={l}"))
         if _has_level_structure(tops, t, l):
             if (n_odd, n_even) != odd_even_counts(t, l):
-                out.violations.append(
+                rep.violations.append(
                     (w, f"class {p}: parity counts differ from the level formula")
                 )
         else:
-            out.flagged.append((w, f"class {p}: exponent levels are not an initial run"))
-            out.stats["irregular_classes"] = out.stats.get("irregular_classes", 0) + 1
+            rep.flagged.append((w, f"class {p}: exponent levels are not an initial run"))
+            rep.count("irregular_classes")
     sq = len(_square_scan(w, len(w)))
     if even_total != sq:
-        out.violations.append((w, f"even-power total {even_total} differs from Sq={sq}"))
-    return out
+        rep.violations.append((w, f"even-power total {even_total} differs from Sq={sq}"))
 
 
-def _eval_splits(p: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_splits(p: str, cfg: SweepConfig, rep: CheckReport) -> None:
     m = split_point(p)
     if m is None:
-        out.stats["never_splits"] = 1
-        return out
+        rep.count("never_splits")
+        return
     l = len(p)
     if m > l - 2:
-        out.violations.append((p, f"splits at {m}, within one of the root length {l}"))
-        return out
+        rep.violations.append((p, f"splits at {m}, within one of the root length {l}"))
+        return
     parts = decompose_split(p, m)
     lengths = [c.length for c in parts]
     if sum(lengths) != l:
-        out.violations.append((p, f"split lengths {lengths} do not sum to {l}"))
+        rep.violations.append((p, f"split lengths {lengths} do not sum to {l}"))
     edges = [e for c in parts for e in c.edges]
     if len(edges) != len(set(edges)):
-        out.violations.append((p, "split components share an edge"))
+        rep.violations.append((p, "split components share an edge"))
     if set(edges) != circular_factors(p, m + 1):
-        out.violations.append((p, "split components do not cover the factor set"))
-    out.stats["splitting_roots"] = 1
-    return out
+        rep.violations.append((p, "split components do not cover the factor set"))
+    rep.count("splitting_roots")
 
 
 def _case_by_root(qlen: int, n: int) -> tuple[str, tuple[int, int]]:
@@ -632,22 +593,19 @@ def _classify_case(w: str) -> tuple[str, tuple[int, int]]:
     return _case_by_root(min(lengths), n)
 
 
-def _eval_case_bounds(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_case_bounds(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     label, (a, b) = _classify_case(w)
-    out.stats[label] = 1
+    rep.count(label)
     if label == "unclassified":
-        out.violations.append((w, "no split shape fits; inspect by hand"))
-        return out
+        rep.violations.append((w, "no split shape fits; inspect by hand"))
+        return
     s = _square_count(w)
     if a * s > b * n:
-        out.violations.append((w, f"{label}: Sq={s} exceeds {b}n/{a} with n={n}"))
-    return out
+        rep.violations.append((w, f"{label}: Sq={s} exceeds {b}n/{a} with n={n}"))
 
 
-def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
-    out = _Outcome()
+def _eval_count_chain(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     doubled = w + w
     power_small = 0
@@ -669,29 +627,28 @@ def _eval_count_chain(w: str, cfg: SweepConfig) -> _Outcome:
         try:
             circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
         except CircuitCapExceeded:
-            out.skipped = True
-            return out
+            rep.skipped.append(w)
+            return
         small_count += sum(1 for c in circuits if len(c) <= order and 2 * len(c) < n)
 
     if power_small != realized:
-        out.violations.append(
+        rep.violations.append(
             (w, f"{power_small} short-rooted powers vs {realized} realized circuits")
         )
     if realized > small_count:
-        out.violations.append((w, f"realized={realized} exceeds small count {small_count}"))
+        rep.violations.append((w, f"realized={realized} exceeds small count {small_count}"))
     if small_count > indep_total:
-        out.violations.append((w, f"small count {small_count} exceeds capacity {indep_total}"))
+        rep.violations.append((w, f"small count {small_count} exceeds capacity {indep_total}"))
     if indep_total > 2 * n:
-        out.violations.append((w, f"capacity {indep_total} exceeds 2n={2 * n}"))
-    out.stats["power_small"] = power_small
-    out.stats["small_count"] = small_count
-    out.stats["indep_total"] = indep_total
-    return out
+        rep.violations.append((w, f"capacity {indep_total} exceeds 2n={2 * n}"))
+    rep.count("power_small", power_small)
+    rep.count("small_count", small_count)
+    rep.count("indep_total", indep_total)
 
 
 @dataclass(frozen=True)
 class _CheckDef:
-    evaluate: Callable[[str, SweepConfig], _Outcome]
+    evaluate: Callable[[str, SweepConfig, CheckReport], None]
     stream: str  # "necklace", "rename" or "nonprimitive"
     primitive_only: bool = False
 
@@ -746,13 +703,15 @@ class _Checkpoint:
     ``violations``/``flagged``/``skipped`` entries added since the level's
     previous record.  The last valid record per key wins and the lists of all
     valid records of the key are concatenated in file order, so a sweep killed
-    mid-write resumes to the uninterrupted report.  A single-job sweep also
-    writes a record every ``_CHECKPOINT_FLUSH_EVERY`` words of a level; with
-    several jobs the parent process alone reads and writes the file, one
-    record per finished level, so a finished level reads the same under any
-    number of jobs and an open one resumes under any number.  The file is
-    read once and written through one handle flushed per record; I/O
-    problems are counted and silence further writes, and the sweep continues.
+    mid-write resumes to the uninterrupted report; a payload that is not a
+    JSON object holding every record key is skipped like a torn one.  A
+    single-job sweep also writes a record every ``_CHECKPOINT_FLUSH_EVERY``
+    words of a level; with several jobs the parent process alone reads and
+    writes the file, one record per finished level, so a finished level reads
+    the same under any number of jobs and an open one resumes under any
+    number.  The file is read once and written through one handle flushed per
+    record; I/O problems are counted and silence further writes, and the sweep
+    continues.
     """
 
     def __init__(self, cfg: SweepConfig) -> None:
@@ -799,6 +758,8 @@ class _Checkpoint:
                 data = json.loads(payload)
             except ValueError:
                 continue  # a record cut short by a killed sweep
+            if not isinstance(data, dict) or not _CHECKPOINT_KEYS <= data.keys():
+                continue  # valid JSON, but not a record
             prev = self.records.get(key)
             if prev is not None:
                 for name in _CHECKPOINT_LISTS:
@@ -884,7 +845,8 @@ def _run_block(args: tuple, ckpt: _Checkpoint | None = None) -> tuple[dict, dict
         for cid, part, cdef in feeds:
             if w <= (last[cid] or "") or (cdef.primitive_only and proper_power):
                 continue
-            part.add(w, cdef.evaluate(w, cfg))
+            part.words_tested += 1
+            cdef.evaluate(w, cfg, part)
             last[cid] = w
             if ckpt is not None and part.words_tested % _CHECKPOINT_FLUSH_EVERY == 0:
                 ckpt.save(n, part, w, done=False)
@@ -1050,7 +1012,7 @@ def check_large_circuit(
             rep.violations.append(
                 (w, f"order {order}: short circuits span rank {rank} of chi {chi}")
             )
-        rep.stats["orders_checked"] = rep.stats.get("orders_checked", 0) + 1
+        rep.count("orders_checked")
     rep.words_tested = 1
     return rep
 

@@ -42,6 +42,13 @@ def _cfg(check, k, n, **kw):
     return SweepConfig(alphabet_size=k, max_length=n, checks=frozenset({check}), **kw)
 
 
+def _evaluate(evaluator, w, cfg=SweepConfig()):
+    """The report one per-word evaluator writes for ``w`` into a fresh level."""
+    rep = CheckReport.for_config("probe", cfg)
+    evaluator(w, cfg, rep)
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # canonical enumeration
 
@@ -186,7 +193,7 @@ def test_class_circuits_check():
 def test_class_circuits_beyond_window_is_not_a_violation():
     from circsq.verify import _eval_class_circuits
 
-    out = _eval_class_circuits("aabaabxbaaba", SweepConfig())
+    out = _evaluate(_eval_class_circuits, "aabaabxbaaba")
     assert not out.violations
     assert out.stats["beyond_window"] >= 1
 
@@ -220,7 +227,7 @@ def test_count_chain_check():
 def test_count_chain_example_aab():
     from circsq.verify import _eval_count_chain
 
-    out = _eval_count_chain("aab", SweepConfig())
+    out = _evaluate(_eval_count_chain, "aab")
     assert not out.violations
     assert out.stats["power_small"] == 1  # just the square of the letter a
 
@@ -240,7 +247,7 @@ def test_graph_evaluators_match_a_search_at_every_order():
     for k, top in ((2, 9), (3, 6)):
         for n in range(2, top + 1):
             for w in words_over(k, n):
-                rank = _eval_circuit_rank(w, cfg)
+                rank = _evaluate(_eval_circuit_rank, w, cfg)
                 assert rank.stats["small_circuits"] == small_circuit_total(w), w
                 small = indep = 0
                 for order in range(1, n + 1):
@@ -248,7 +255,7 @@ def test_graph_evaluators_match_a_search_at_every_order():
                     circuits = enumerate_elementary_circuits(g)
                     small += sum(1 for c in circuits if c.length <= order and 2 * c.length < n)
                     indep += cyclomatic_number(g)
-                chain = _eval_count_chain(w, cfg)
+                chain = _evaluate(_eval_count_chain, w, cfg)
                 assert (chain.stats["small_count"], chain.stats["indep_total"]) == (small, indep), w
 
 
@@ -279,7 +286,7 @@ def test_graph_evaluators_match_the_naive_oracles():
                         expected.append(f"circuit rank exceeds chi at order {i}")
                 if sc > n - len(set(w)):
                     expected.append(f"sc={sc} exceeds n-|alphabet|={n - len(set(w))}")
-                rank = _eval_circuit_rank(w, cfg)
+                rank = _evaluate(_eval_circuit_rank, w, cfg)
                 assert [detail for _, detail in rank.violations] == expected, w
                 assert rank.stats["small_circuits"] == sc == small_circuit_total(w), w
                 small = indep = 0
@@ -287,7 +294,7 @@ def test_graph_evaluators_match_the_naive_oracles():
                     g, lengths, _ = circuits_and_vectors(w + w, order)
                     small += sum(1 for m in lengths if m <= order and 2 * m < n)
                     indep += cyclomatic_number(g)
-                chain = _eval_count_chain(w, cfg)
+                chain = _evaluate(_eval_count_chain, w, cfg)
                 assert chain.stats["small_count"] == small, w
                 assert chain.stats["indep_total"] == indep, w
 
@@ -296,10 +303,10 @@ def test_circuit_rank_examples_direct():
     from circsq.verify import _eval_circuit_rank
 
     cfg = SweepConfig()
-    out = _eval_circuit_rank("aaa", cfg)
+    out = _evaluate(_eval_circuit_rank, "aaa", cfg)
     assert not out.violations
     assert out.stats["small_circuits"] == 2  # loops at orders 1 and 2, within 3-1
-    out = _eval_circuit_rank("abc", cfg)
+    out = _evaluate(_eval_circuit_rank, "abc", cfg)
     assert not out.violations
     assert out.stats["small_circuits"] == 0
 
@@ -308,10 +315,10 @@ def test_class_circuits_examples_direct():
     from circsq.verify import _eval_class_circuits
 
     cfg = SweepConfig()
-    out = _eval_class_circuits("aaaaaa", cfg)  # one class, root a, t = 5
+    out = _evaluate(_eval_class_circuits, "aaaaaa", cfg)  # one class, root a, t = 5
     assert not out.violations
     assert out.stats["predicted"] == out.stats["realized"] == 5
-    out = _eval_class_circuits("abc", cfg)
+    out = _evaluate(_eval_class_circuits, "abc", cfg)
     assert not out.violations
     assert out.stats["predicted"] == 0
 
@@ -385,7 +392,7 @@ def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
     ]
     for classes, missing, realized, beyond in cases:
         monkeypatch.setattr(verify, "_classes", lambda word: classes)
-        out = _eval_class_circuits(w, SweepConfig())
+        out = _evaluate(_eval_class_circuits, w)
         expected = [
             (w, f"class {p} (t={t}) has no small circuit at order {o}")
             for (p, t, _, _), o in missing
@@ -438,7 +445,7 @@ def test_case_classification_examples():
     from circsq.verify import _classify_case, _eval_case_bounds
 
     assert _classify_case("abc") == ("case1", (2, 3))
-    out = _eval_case_bounds("aabb", SweepConfig())
+    out = _evaluate(_eval_case_bounds, "aabb")
     assert not out.violations
     assert circular_square_count("aabb") == 2
 
@@ -531,6 +538,61 @@ def test_config_validation():
 def test_reports_are_deterministic():
     cfg = SweepConfig(2, 7, frozenset({"bound-5-3", "circuit-rank", "splits"}))
     assert run_suite(cfg).to_json() == run_suite(cfg).to_json()
+
+
+# Per check: words tested, stats, counts of violations, flagged and skipped
+# entries, max ratio and witness of an all-check suite.
+_PINNED_REPORTS = {
+    (2, 8, DEFAULT_CIRCUIT_CAP): [
+        ("bound-5-3", 51, {"canonical_pairs_checked": 1000}, 0, 0, 0, "3/4", "aabaabab"),
+        ("bound-nonprimitive", 13, {"canonical_pairs_checked": 1000}, 0, 0, 0, "3/4", "aabbaabb"),
+        ("circuit-rank", 255, {"small_circuits": 873}, 0, 0, 0, None, None),
+        ("class-circuits", 255, {"predicted": 870, "realized": 870}, 0, 0, 0, None, None),
+        ("class-parity", 255, {}, 0, 0, 0, None, None),
+        ("splits", 38, {"never_splits": 2, "splitting_roots": 36}, 0, 0, 0, None, None),
+        ("case-bounds", 38, {"case1": 36, "case2": 2}, 0, 0, 0, None, None),
+        (
+            "count-chain", 38, {"indep_total": 425, "power_small": 164, "small_count": 164},
+            0, 0, 0, None, None,
+        ),
+        ("large-circuit", 5, {"orders_checked": 13}, 0, 0, 0, None, None),
+    ],
+    (3, 6, 3): [
+        ("bound-5-3", 47, {"canonical_pairs_checked": 1000}, 0, 0, 0, "2/3", "aabaab"),
+        ("bound-nonprimitive", 9, {"canonical_pairs_checked": 1000}, 0, 0, 0, "2/3", "aabaab"),
+        ("circuit-rank", 185, {"small_circuits": 310}, 0, 0, 0, None, None),
+        ("class-circuits", 185, {"predicted": 310, "realized": 310}, 0, 0, 0, None, None),
+        ("class-parity", 185, {}, 0, 0, 0, None, None),
+        ("splits", 38, {"never_splits": 3, "splitting_roots": 35}, 0, 0, 0, None, None),
+        ("case-bounds", 38, {"case1": 38}, 0, 0, 0, None, None),
+        (
+            "count-chain", 38, {"indep_total": 239, "power_small": 62, "small_count": 62},
+            0, 0, 6, None, None,
+        ),
+        ("large-circuit", 5, {"orders_checked": 13}, 0, 0, 0, None, None),
+    ],
+}
+
+
+def test_report_content_is_pinned_at_small_sizes():
+    # which stats keys exist matters as much as their values: a stat set
+    # only when nonzero (beyond_window, ratio_above_3_2, irregular_classes)
+    # stays absent, and one always set is there at 0
+    for (k, n, cap), expected in _PINNED_REPORTS.items():
+        got = [
+            (
+                r.check_id,
+                r.words_tested,
+                r.stats,
+                len(r.violations),
+                len(r.flagged),
+                len(r.skipped),
+                None if r.max_ratio is None else str(r.max_ratio),
+                r.witness,
+            )
+            for r in run_suite(SweepConfig(k, n, circuit_cap=cap)).reports
+        ]
+        assert got == expected, (k, n, cap)
 
 
 def test_jobs_merge_equals_single_threaded():
@@ -704,6 +766,24 @@ def test_checkpoint_from_another_config_is_not_reused(tmp_path):
         assert path.read_text() == old
 
 
+def test_checkpoint_record_of_another_shape_is_skipped(tmp_path):
+    # valid JSON that is not a record object is skipped like a torn record,
+    # alone or after a valid record of the same level, and the sweep reports
+    # what a fresh run reports
+    cfg = _cfg("bound-5-3", 2, 5)
+    fresh = run_suite(cfg).to_json()
+    whole = tmp_path / "whole.txt"
+    run_suite(replace(cfg, checkpoint_path=str(whole)))
+    written = whole.read_text()
+    header = written.splitlines(keepends=True)[0]
+    path = tmp_path / "progress.txt"
+    for payload in ("{}", "[]", "5"):
+        for text in (header, written):
+            path.write_text(f"{text}R bound-5-3 2 5 {payload}\n")
+            resumed = run_suite(replace(cfg, checkpoint_path=str(path)))
+            assert resumed.to_json() == fresh, (payload, text)
+
+
 def test_checkpoint_rerun_skips_but_reports_identically(tmp_path):
     path = str(tmp_path / "progress.txt")
     cfg = _cfg("splits", 2, 7, checkpoint_path=path)
@@ -767,9 +847,15 @@ def test_checkpoint_under_jobs(tmp_path, monkeypatch, capsys):
 
 
 def test_benchmark_hooks_stay_public():
-    # the per-layer benchmark wraps exactly these names from outside
+    # the per-layer benchmark wraps exactly these names from outside, names
+    # each span by the module that defines the function, and counts pool
+    # fan-out through the multiprocessing that verify binds
+    import multiprocessing
+
     for name in ("run_check", "run_suite", "circular_square_count", "is_necklace_canonical"):
         assert name in verify.__all__, name
+        assert getattr(verify, name).__module__ == "circsq.verify", name
+    assert verify.multiprocessing is multiprocessing
 
 
 def test_report_json_roundtrip():
