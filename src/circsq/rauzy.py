@@ -4,7 +4,9 @@ The order-``i`` factor graph (Rauzy graph) of a word has the length-``i``
 factors as vertices and the length-``i+1`` factors as edges; an edge runs
 from its prefix to its suffix.  The public :class:`RauzyGraph` holds factor
 strings, edges sorted; :func:`build_rauzy_graph` validates the word and the
-order and cuts one graph.
+order and cuts one graph.  :class:`RauzyGraph` and :class:`Circuit` have one
+constructor each, which validates and normalizes; only the CLI and the tests
+build them, so no sweep pays for that.
 
 The sweeps read a private integer route instead: ``_index_graphs`` cuts
 every order's graph straight from the word, vertices and edges numbered in
@@ -15,8 +17,8 @@ windows are joined by an edge), so its independence capacity
 search: Johnson's blocked search over the branch-vertex skeleton, where
 each chain of in = out = 1 vertices is one super-edge, capped, with
 circuits as lists of edge ids.  :func:`enumerate_elementary_circuits`
-indexes a public graph, runs the same search and maps the circuits back to
-normalized :class:`Circuit` values.  The module also computes traversal
+indexes a public graph, runs the same search and wraps each found edge-id
+list as a :class:`Circuit`.  The module also computes traversal
 vectors and their exact rank over the rationals, and analyses how the
 circuit family of a primitive word splits at low orders.
 """
@@ -85,27 +87,12 @@ class RauzyGraph:
             if e[:-1] not in self.vertices or e[1:] not in self.vertices:
                 raise ValueError(f"edge {e!r} has an endpoint outside the vertex set")
 
-    @classmethod
-    def _trusted(cls, order: int, vertices: frozenset[str], edges: tuple[str, ...]) -> RauzyGraph:
-        """A graph cut from a word's factor table, which makes it valid by construction.
-
-        Skips ``__post_init__``: ``edges`` must already be sorted and free of
-        repeats, and every edge's endpoints must be in ``vertices``.
-        """
-        g = object.__new__(cls)
-        g.__dict__.update(order=order, vertices=vertices, edges=edges)
-        return g
-
-    def out_edges(self) -> dict[str, list[str]]:
-        """Vertex -> outgoing edges, each list sorted."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e[:-1]].append(e)
-        return adj
-
     def successors(self) -> dict[str, list[str]]:
         """Vertex -> successor vertices, each list sorted."""
-        return {v: [e[1:] for e in es] for v, es in self.out_edges().items()}
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            adj[e[:-1]].append(e[1:])
+        return adj
 
 
 def _index_graphs(s: str, orders: range) -> Iterator[tuple[int, list[int], list[list[int]], int]]:
@@ -147,8 +134,8 @@ def build_rauzy_graph(w: str, i: int) -> RauzyGraph:
     if not 1 <= i <= len(w) - 1:
         raise ValueError(f"order {i} out of range 1..{len(w) - 1}")
     vertices = frozenset([w[j : j + i] for j in range(len(w) - i + 1)])
-    edges = tuple(sorted({w[j : j + i + 1] for j in range(len(w) - i)}))
-    return RauzyGraph._trusted(i, vertices, edges)
+    edges = tuple(w[j : j + i + 1] for j in range(len(w) - i))
+    return RauzyGraph(i, vertices, edges)
 
 
 def is_weakly_connected(g: RauzyGraph) -> bool:
@@ -200,17 +187,6 @@ class Circuit:
                 raise ValueError(f"edges do not chain: {self.edges}")
         k = starts.index(min(starts))
         object.__setattr__(self, "edges", self.edges[k:] + self.edges[:k])
-
-    @classmethod
-    def _trusted(cls, edges: tuple[str, ...]) -> Circuit:
-        """A circuit from Johnson's search, valid and normalized by construction.
-
-        Skips ``__post_init__``: ``edges`` must chain, visit no vertex twice
-        and start at the least vertex.
-        """
-        c = object.__new__(cls)
-        c.__dict__["edges"] = edges
-        return c
 
     @property
     def length(self) -> int:
@@ -341,11 +317,10 @@ def _circuit_edges(
 def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
     """All elementary directed circuits of ``g``, each reported once.
 
-    Indexes ``g``'s sorted vertices and edges and runs :func:`_circuit_edges`.
-    Each circuit is rotated to start at its least vertex, whose edge has the
-    least id since edge order is string order, and the circuits come out
-    sorted by ``(length, edges)``.  Raises :class:`CircuitCapExceeded` when
-    more than ``cap`` circuits show up.
+    Indexes ``g``'s sorted vertices and edges and runs :func:`_circuit_edges`;
+    each :class:`Circuit` rotates itself to start at its least vertex, and the
+    circuits come out sorted by ``(length, edges)``.  Raises
+    :class:`CircuitCapExceeded` when more than ``cap`` circuits show up.
     """
     index = {v: j for j, v in enumerate(sorted(g.vertices))}
     head = [index[e[1:]] for e in g.edges]
@@ -358,14 +333,8 @@ def enumerate_elementary_circuits(g: RauzyGraph, cap: int = DEFAULT_CIRCUIT_CAP)
         raise CircuitCapExceeded(
             f"graph of order {g.order} has more than {cap} elementary circuits"
         ) from None
-    cycles = []
-    for ids in found:
-        k = ids.index(min(ids))
-        cycles.append(tuple(g.edges[j] for j in ids[k:] + ids[:k]))
-    cycles.sort(key=lambda edges: (len(edges), edges))
-    # Each cycle chains, visits no vertex twice and starts at its least
-    # vertex: what Circuit._trusted requires.
-    return [Circuit._trusted(edges) for edges in cycles]
+    circuits = [Circuit(tuple(g.edges[j] for j in ids)) for ids in found]
+    return sorted(circuits, key=lambda c: (c.length, c.edges))
 
 
 def _edge_vectors(circuits: list[list[int]], n_edges: int) -> list[list[int]]:

@@ -9,7 +9,8 @@ from one scan of the word's periodic runs: a power ``q ** k`` (``k >= 2``,
 implies ``q ** (k - 1)``, so a class keyed by the canonical rotation of its
 root is fully given by each conjugate's top exponent, with no primitivity test
 per factor.  The sweeps read those tops; :func:`class_decomposition` spells
-them out as member sets split by exponent parity; a primitivity test on every
+them out as validated :class:`PowerClass` member sets split by exponent
+parity, which only the CLI and the tests build; a primitivity test on every
 factor is kept as their oracle.
 """
 
@@ -192,17 +193,6 @@ class PowerClass:
             if (m in self.even) != (k % 2 == 0):
                 raise ValueError(f"{m!r} is on the wrong parity side")
 
-    @classmethod
-    def _trusted(cls, root, members, even, odd) -> PowerClass:
-        """A class built from its runs' top exponents, valid by construction.
-
-        Skips ``__post_init__``: re-deriving every member's root there costs
-        more than building the class.  Only :func:`class_decomposition` uses it.
-        """
-        pc = object.__new__(cls)
-        pc.__dict__.update(root=root, members=members, even=even, odd=odd)
-        return pc
-
     @property
     def root_length(self) -> int:
         return len(self.root)
@@ -226,7 +216,7 @@ def class_decomposition(w: str) -> ClassDecomposition:
     for root, _, _, tops in _class_tops(validate_word(w)):
         even = frozenset(q * k for q, top in tops.items() for k in range(2, top + 1, 2))
         odd = frozenset(q * k for q, top in tops.items() for k in range(3, top + 1, 2))
-        classes.append(PowerClass._trusted(root, even | odd, even, odd))
+        classes.append(PowerClass(root, even | odd, even, odd))
     return ClassDecomposition(w, tuple(classes))
 
 

@@ -5,7 +5,8 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 - ``bound-5-3``: every circular word has at most 5n/3 distinct squares.
 - ``bound-nonprimitive``: proper powers stay within 3n/2.
 - ``circuit-rank``: small circuits per order are independent and their total
-  is at most n minus the alphabet size.
+  is at most n minus the alphabet size; every circuit found is an elementary
+  closed walk, so all circuits of an order span at most its cycle space.
 - ``class-circuits``: a power class of size t with root length l produces a
   small circuit at each order l .. l+t-1.  One reach per class answers every
   order: the longest L such that every length-L window of the root repeated
@@ -34,7 +35,9 @@ filtered out of the renamed words.  The graph checks (``circuit-rank``,
 integer ids cut straight from the word and take its circuits, as edge-id
 lists, from the one circuit search in :mod:`circsq.rauzy`, which runs over
 the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
-since every higher order is then a path.  The class checks (``class-parity``,
+since every higher order is then a path, and ranks only each order's small
+circuits: a check that every circuit is an elementary closed walk stands in
+for ranking them all.  The class checks (``class-parity``,
 ``class-circuits``, ``count-chain``) read each power class as its conjugates'
 top exponents, from one scan of the word's periodic runs, and count its
 members from them.  Checks that read one word stream share a pass over it
@@ -435,6 +438,12 @@ def _eval_bound_nonprimitive(w: str, cfg: SweepConfig, rep: CheckReport) -> None
         rep.violations.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
 
 
+def _is_elementary_closed_walk(c: list[int], head: list[int], out: list[list[int]]) -> bool:
+    """True when edge ids ``c`` visit no vertex twice and each leaves the previous one's head."""
+    heads = [head[e] for e in c]
+    return len(set(heads)) == len(c) and all(e in out[v] for v, e in zip(heads, c[1:] + c[:1]))
+
+
 def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     sc_total = 0
@@ -449,13 +458,14 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
         except CircuitCapExceeded:
             rep.skipped.append(w)
             return
-        vectors = _edge_vectors(circuits, len(head))
-        small = [v for c, v in zip(circuits, vectors) if len(c) <= i]
+        small = [c for c in circuits if len(c) <= i]
         sc_total += len(small)
-        if small and independent_rank(small) != len(small):
+        if small and independent_rank(_edge_vectors(small, len(head))) != len(small):
             rep.violations.append((w, f"small circuits at order {i} are dependent"))
-        if circuits and independent_rank(vectors) > chi:
-            rep.violations.append((w, f"circuit rank exceeds chi at order {i}"))
+        # An elementary closed walk lies in the graph's chi-dimensional cycle
+        # space, so this guard bounds the rank of all circuits by chi.
+        if not all(_is_elementary_closed_walk(c, head, edges_out) for c in circuits):
+            rep.violations.append((w, f"a circuit at order {i} is not an elementary closed walk"))
     bound = n - len(set(w))
     if sc_total > bound:
         rep.violations.append((w, f"sc={sc_total} exceeds n-|alphabet|={bound}"))
@@ -692,6 +702,33 @@ def _level(stream: str, cfg: SweepConfig, n: int):
 # checkpointing
 
 
+def _is_record(data: object) -> bool:
+    """True when ``data`` holds every checkpoint record key, each with a value of its type."""
+    if not isinstance(data, dict) or not _CHECKPOINT_KEYS <= data.keys():
+        return False
+    if type(data["tested"]) is not int or type(data["done"]) is not bool:
+        return False
+    if not all(isinstance(data[name], list) for name in _CHECKPOINT_LISTS):
+        return False
+    pairs = data["violations"] + data["flagged"]
+    if not all(isinstance(v, list) and len(v) == 2 for v in pairs):
+        return False
+    if not all(isinstance(x, str) for x in [x for v in pairs for x in v] + data["skipped"]):
+        return False
+    stats = data["stats"]
+    if not isinstance(stats, dict) or any(type(v) is not int for v in stats.values()):
+        return False
+    optional = (data["last"], data["ratio"], data["witness"])
+    if not all(x is None or isinstance(x, str) for x in optional):
+        return False
+    if data["ratio"] is not None:
+        try:
+            Fraction(data["ratio"])
+        except (ValueError, ZeroDivisionError):
+            return False
+    return True
+
+
 class _Checkpoint:
     """A suite's append-only progress file: a header, then level records.
 
@@ -704,14 +741,14 @@ class _Checkpoint:
     previous record.  The last valid record per key wins and the lists of all
     valid records of the key are concatenated in file order, so a sweep killed
     mid-write resumes to the uninterrupted report; a payload that is not a
-    JSON object holding every record key is skipped like a torn one.  A
-    single-job sweep also writes a record every ``_CHECKPOINT_FLUSH_EVERY``
-    words of a level; with several jobs the parent process alone reads and
-    writes the file, one record per finished level, so a finished level reads
-    the same under any number of jobs and an open one resumes under any
-    number.  The file is read once and written through one handle flushed per
-    record; I/O problems are counted and silence further writes, and the sweep
-    continues.
+    JSON object holding every record key, each with a value of its type, is
+    skipped like a torn one.  A single-job sweep also writes a record every
+    ``_CHECKPOINT_FLUSH_EVERY`` words of a level; with several jobs the parent
+    process alone reads and writes the file, one record per finished level, so
+    a finished level reads the same under any number of jobs and an open one
+    resumes under any number.  The file is read once and written through one
+    handle flushed per record; I/O problems are counted and silence further
+    writes, and the sweep continues.
     """
 
     def __init__(self, cfg: SweepConfig) -> None:
@@ -758,7 +795,7 @@ class _Checkpoint:
                 data = json.loads(payload)
             except ValueError:
                 continue  # a record cut short by a killed sweep
-            if not isinstance(data, dict) or not _CHECKPOINT_KEYS <= data.keys():
+            if not _is_record(data):
                 continue  # valid JSON, but not a record
             prev = self.records.get(key)
             if prev is not None:

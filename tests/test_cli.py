@@ -118,6 +118,187 @@ def test_split_rejects_non_primitive(capsys):
     assert "primitive" in err
 
 
+# The string layer's output, held byte for byte: text and CSV as printed, JSON
+# as its compact form, which the CLI prints sorted with an indent of 2.
+_PINNED_TEXT = [
+    (
+        ('rauzy', 'abacabacabac', '--order', '1'),
+        (
+            'order 1: 3 vertices, 4 edges, chi=2\n  a -> b  [ab]\n  a -> c  [ac]\n'
+            '  b -> a  [ba]\n  c -> a  [ca]\n'
+        ),
+    ),
+    (
+        ('rauzy', 'abacabacabac', '--order', '2'),
+        (
+            'order 2: 4 vertices, 4 edges, chi=1\n  ab -> ba  [aba]\n  ac -> ca  [aca]\n'
+            '  ba -> ac  [bac]\n  ca -> ab  [cab]\n'
+        ),
+    ),
+    (
+        ('rauzy', 'abacabacabac', '--order', '3'),
+        (
+            'order 3: 4 vertices, 4 edges, chi=1\n  aba -> bac  [abac]\n'
+            '  aca -> cab  [acab]\n  bac -> aca  [baca]\n  cab -> aba  [caba]\n'
+        ),
+    ),
+    (
+        ('rauzy', 'aabaababaabaabab', '--order', '1'),
+        (
+            'order 1: 2 vertices, 3 edges, chi=2\n  a -> a  [aa]\n  a -> b  [ab]\n'
+            '  b -> a  [ba]\n'
+        ),
+    ),
+    (
+        ('rauzy', 'aabaababaabaabab', '--order', '2'),
+        (
+            'order 2: 3 vertices, 4 edges, chi=2\n  aa -> ab  [aab]\n  ab -> ba  [aba]\n'
+            '  ba -> aa  [baa]\n  ba -> ab  [bab]\n'
+        ),
+    ),
+    (
+        ('rauzy', 'aabaababaabaabab', '--order', '3'),
+        (
+            'order 3: 4 vertices, 5 edges, chi=2\n  aab -> aba  [aaba]\n'
+            '  aba -> baa  [abaa]\n  aba -> bab  [abab]\n  baa -> aab  [baab]\n'
+            '  bab -> aba  [baba]\n'
+        ),
+    ),
+    (
+        ('circuits', 'abacabacabac', '--order', '1', '--format', 'csv'),
+        'index,length,vertices,vector\r\n0,2,a b,1 0 1 0\r\n1,2,a c,0 1 0 1\r\n',
+    ),
+    (
+        ('circuits', 'abacabacabac', '--order', '2', '--format', 'csv'),
+        'index,length,vertices,vector\r\n0,4,ab ba ac ca,1 1 1 1\r\n',
+    ),
+    (
+        ('circuits', 'abacabacabac', '--order', '3', '--format', 'csv'),
+        'index,length,vertices,vector\r\n0,4,aba bac aca cab,1 1 1 1\r\n',
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '1', '--format', 'csv'),
+        'index,length,vertices,vector\r\n0,1,a,1 0 0\r\n1,2,a b,0 1 1\r\n',
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '2', '--format', 'csv'),
+        'index,length,vertices,vector\r\n0,2,ab ba,0 1 0 1\r\n1,3,aa ab ba,1 1 1 0\r\n',
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '3', '--format', 'csv'),
+        (
+            'index,length,vertices,vector\r\n0,2,aba bab,0 0 1 0 1\r\n'
+            '1,3,aab aba baa,1 1 0 1 0\r\n'
+        ),
+    ),
+    (
+        ('classes', 'abacabacabac', '--format', 'csv'),
+        'root,l,t,even,odd\r\nabac,4,5,4,1\r\n',
+    ),
+    (
+        ('classes', 'aabaababaabaabab', '--format', 'csv'),
+        (
+            'root,l,t,even,odd\r\na,1,1,1,0\r\nab,2,2,2,0\r\naab,3,4,3,1\r\n'
+            'aabab,5,2,2,0\r\naabaabab,8,1,1,0\r\n'
+        ),
+    ),
+]
+
+_PINNED_JSON = [
+    (
+        ('circuits', 'abacabacabac', '--order', '1', '--format', 'json'),
+        (
+            '{"chi": 2, "circuits": [{"length": 2, "vector": [1, 0, 1, 0], '
+            '"vertices": ["a", "b"]}, {"length": 2, "vector": [0, 1, 0, 1], '
+            '"vertices": ["a", "c"]}], "order": 1, "rank": 2, "small_circuits": 0, '
+            '"word": "abacabacabac"}'
+        ),
+    ),
+    (
+        ('circuits', 'abacabacabac', '--order', '2', '--format', 'json'),
+        (
+            '{"chi": 1, "circuits": [{"length": 4, "vector": [1, 1, 1, 1], '
+            '"vertices": ["ab", "ba", "ac", "ca"]}], "order": 2, "rank": 1, '
+            '"small_circuits": 0, "word": "abacabacabac"}'
+        ),
+    ),
+    (
+        ('circuits', 'abacabacabac', '--order', '3', '--format', 'json'),
+        (
+            '{"chi": 1, "circuits": [{"length": 4, "vector": [1, 1, 1, 1], '
+            '"vertices": ["aba", "bac", "aca", "cab"]}], "order": 3, "rank": 1, '
+            '"small_circuits": 0, "word": "abacabacabac"}'
+        ),
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '1', '--format', 'json'),
+        (
+            '{"chi": 2, "circuits": [{"length": 1, "vector": [1, 0, 0], '
+            '"vertices": ["a"]}, {"length": 2, "vector": [0, 1, 1], "vertices": ["a", '
+            '"b"]}], "order": 1, "rank": 2, "small_circuits": 1, '
+            '"word": "aabaababaabaabab"}'
+        ),
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '2', '--format', 'json'),
+        (
+            '{"chi": 2, "circuits": [{"length": 2, "vector": [0, 1, 0, 1], '
+            '"vertices": ["ab", "ba"]}, {"length": 3, "vector": [1, 1, 1, 0], '
+            '"vertices": ["aa", "ab", "ba"]}], "order": 2, "rank": 2, "small_circuits": 1, '
+            '"word": "aabaababaabaabab"}'
+        ),
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '3', '--format', 'json'),
+        (
+            '{"chi": 2, "circuits": [{"length": 2, "vector": [0, 0, 1, 0, 1], '
+            '"vertices": ["aba", "bab"]}, {"length": 3, "vector": [1, 1, 0, 1, 0], '
+            '"vertices": ["aab", "aba", "baa"]}], "order": 3, "rank": 2, '
+            '"small_circuits": 2, "word": "aabaababaabaabab"}'
+        ),
+    ),
+    (
+        ('classes', 'abacabacabac', '--format', 'json'),
+        (
+            '{"classes": [{"even": 4, "l": 4, "odd": 1, "root": "abac", "t": 5}], "n": 12, '
+            '"sq": 4, "sq_circular": 4, "word": "abacabacabac"}'
+        ),
+    ),
+    (
+        ('classes', 'aabaababaabaabab', '--format', 'json'),
+        (
+            '{"classes": [{"even": 1, "l": 1, "odd": 0, "root": "a", "t": 1}, {"even": 2, '
+            '"l": 2, "odd": 0, "root": "ab", "t": 2}, {"even": 3, "l": 3, "odd": 1, '
+            '"root": "aab", "t": 4}, {"even": 2, "l": 5, "odd": 0, "root": "aabab", '
+            '"t": 2}, {"even": 1, "l": 8, "odd": 0, "root": "aabaabab", "t": 1}], "n": 16, '
+            '"sq": 9, "sq_circular": 16, "word": "aabaababaabaabab"}'
+        ),
+    ),
+    (
+        ('split', 'abacabcab', '--format', 'json'),
+        (
+            '{"component_lengths": [2, 3, 4], "component_roots": ["ab", "abc", "abac"], '
+            '"splits_at": 3, "word": "abacabcab"}'
+        ),
+    ),
+    (
+        ('split', 'aabaababaabab', '--format', 'json'),
+        (
+            '{"component_lengths": [5, 8], "component_roots": ["aabab", "aabaabab"], '
+            '"splits_at": 11, "word": "aabaababaabab"}'
+        ),
+    ),
+]
+
+
+def test_string_layer_output_is_pinned(capsys):
+    for argv, expected in _PINNED_TEXT:
+        assert run_cli(capsys, *argv) == (0, expected, ""), argv
+    for argv, expected in _PINNED_JSON:
+        printed = json.dumps(json.loads(expected), sort_keys=True, indent=2) + "\n"
+        assert run_cli(capsys, *argv) == (0, printed, ""), argv
+
+
 def test_empty_word_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "count", "")
     assert code == 2

@@ -123,7 +123,7 @@ def test_enumerate_circuits_handles_self_loops():
 def _assert_circuits_match_naive(g, context):
     circs = enumerate_elementary_circuits(g)
     assert {c.edges for c in circs} == naive_circuits(g), context
-    # the trusted output route stores what the validating constructor would
+    # each circuit already starts at its least vertex: building it again changes nothing
     assert all(c == Circuit(c.edges) for c in circs), context
     keys = [(c.length, c.edges) for c in circs]
     assert keys == sorted(keys), context

@@ -282,8 +282,8 @@ def test_graph_evaluators_match_the_naive_oracles():
                     sc += len(small)
                     if fraction_rank(small) != len(small):
                         expected.append(f"small circuits at order {i} are dependent")
-                    if fraction_rank(vectors) > cyclomatic_number(g):
-                        expected.append(f"circuit rank exceeds chi at order {i}")
+                    # what the evaluator's closed-walk guard stands in for
+                    assert fraction_rank(vectors) <= cyclomatic_number(g), (w, i)
                 if sc > n - len(set(w)):
                     expected.append(f"sc={sc} exceeds n-|alphabet|={n - len(set(w))}")
                 rank = _evaluate(_eval_circuit_rank, w, cfg)
@@ -309,6 +309,19 @@ def test_circuit_rank_examples_direct():
     out = _evaluate(_eval_circuit_rank, "abc", cfg)
     assert not out.violations
     assert out.stats["small_circuits"] == 0
+
+
+def test_circuit_rank_reports_a_walk_that_does_not_close(monkeypatch):
+    # "aab" at order 1: a -> a is edge 0, a -> b edge 1, and b has no way back
+    from circsq.verify import _eval_circuit_rank
+
+    monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 1]])
+    out = _evaluate(_eval_circuit_rank, "aab")
+    assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
+    # a walk that closes but passes a vertex twice is no circuit either
+    monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 0]])
+    out = _evaluate(_eval_circuit_rank, "aab")
+    assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
 
 
 def test_class_circuits_examples_direct():
@@ -767,17 +780,27 @@ def test_checkpoint_from_another_config_is_not_reused(tmp_path):
 
 
 def test_checkpoint_record_of_another_shape_is_skipped(tmp_path):
-    # valid JSON that is not a record object is skipped like a torn record,
-    # alone or after a valid record of the same level, and the sweep reports
-    # what a fresh run reports
+    # valid JSON that is not a record object, or a record with a value of the
+    # wrong type, is skipped like a torn record, alone or after a valid record
+    # of the same level, and the sweep reports what a fresh run reports
     cfg = _cfg("bound-5-3", 2, 5)
     fresh = run_suite(cfg).to_json()
     whole = tmp_path / "whole.txt"
     run_suite(replace(cfg, checkpoint_path=str(whole)))
     written = whole.read_text()
     header = written.splitlines(keepends=True)[0]
+    record = json.loads(written.splitlines()[-1].split(maxsplit=4)[4])
+    wrong = [
+        ("tested", "x"), ("tested", True), ("tested", 1.0), ("done", 1), ("done", None),
+        ("violations", {}), ("flagged", "x"), ("skipped", None), ("violations", [5]),
+        ("flagged", [["w"]]), ("violations", [["w", 5]]), ("skipped", [5]),
+        ("stats", []), ("stats", {"x": "1"}), ("stats", {"x": True}),
+        ("last", 5), ("ratio", 1.5), ("ratio", "x"), ("ratio", "1/0"), ("witness", []),
+    ]
+    payloads = ["{}", "[]", "5"]
+    payloads += [json.dumps({**record, key: value}) for key, value in wrong]
     path = tmp_path / "progress.txt"
-    for payload in ("{}", "[]", "5"):
+    for payload in payloads:
         for text in (header, written):
             path.write_text(f"{text}R bound-5-3 2 5 {payload}\n")
             resumed = run_suite(replace(cfg, checkpoint_path=str(path)))
