@@ -104,7 +104,7 @@ def _cmd_rauzy(args: argparse.Namespace) -> int:
             }
         )
     elif args.format == "csv":
-        _emit_csv([[e, e[:-1], e[1:]] for e in g.edges], ["edge", "head", "tail"])
+        _emit_csv([[e, e[:-1], e[1:]] for e in g.edges], ["edge", "tail", "head"])
     else:
         print(f"order {g.order}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
               f"chi={rauzy.cyclomatic_number(g)}")

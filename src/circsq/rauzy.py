@@ -11,16 +11,19 @@ build them, so no sweep pays for that.
 The sweeps read a private integer route instead: ``_index_graphs`` cuts
 every order's graph straight from the word, vertices and edges numbered in
 first-occurrence order (the edge ids of one order are the vertex ids of the
-next), and a word's graph is weakly connected by construction (consecutive
-windows are joined by an edge), so its independence capacity
-``|E| - |V| + 1`` needs no search.  ``_circuit_edges`` is the one circuit
-search: Johnson's blocked search over the branch-vertex skeleton, where
-each chain of in = out = 1 vertices is one super-edge, capped, with
-circuits as lists of edge ids.  :func:`enumerate_elementary_circuits`
-indexes a public graph, runs the same search and wraps each found edge-id
-list as a :class:`Circuit`.  The module also computes traversal
-vectors and their exact rank over the rationals, and analyses how the
-circuit family of a primitive word splits at low orders.
+next), and yields it as a code string, one character per edge, that is
+hashable and exact, so two words with the same numbered graph yield the
+same string; ``_unpack`` rebuilds the adjacency lists from it.  A word's graph is
+weakly connected by construction (consecutive windows are joined by an
+edge), so its independence capacity ``|E| - |V| + 1`` needs no search.
+``_circuit_edges`` is the one circuit search: Johnson's blocked search
+over the branch-vertex skeleton, where each chain of in = out = 1 vertices
+is one super-edge, capped, with circuits as lists of edge ids.
+:func:`enumerate_elementary_circuits` indexes a public graph, runs the same
+search and wraps each found edge-id list as a :class:`Circuit`.  The module
+also computes traversal vectors and their exact rank over the rationals,
+and analyses how the circuit family of a primitive word splits at low
+orders.
 """
 
 from __future__ import annotations
@@ -95,37 +98,54 @@ class RauzyGraph:
         return adj
 
 
-def _index_graphs(s: str, orders: range) -> Iterator[tuple[int, list[int], list[list[int]], int]]:
-    """``(order, head, out, n_vertices)`` for each order of a trusted word, cut from the word.
+# The most vertices a code string of _index_graphs holds: 1055 ** 2 <= 0x110000.
+_MAX_CODED_VERTICES = 1055
+
+
+def _index_graphs(s: str, orders: range) -> Iterator[tuple[int, int, str]]:
+    """``(order, n_vertices, codes)`` for each order of a trusted word, cut from the word.
 
     The vertices of order ``i`` are the length-``i`` factors and its edges the
     length-``i + 1`` factors, each numbered in first-occurrence order, so the
     edge ids of order ``i`` are the vertex ids of order ``i + 1``; nothing is
-    sorted.  ``head[e]`` is the end vertex of edge ``e`` and ``out[v]`` lists
-    the edges leaving ``v`` in increasing id order.  ``orders`` ascends and
-    ends below ``len(s)``.  A word's factor graph is weakly connected
-    (consecutive windows share an edge), so ``len(head) - n_vertices + 1`` is
-    its cyclomatic number without a connectivity search.
+    sorted.  ``codes`` holds one character per edge, in edge-id order: edge
+    ``e`` from vertex ``v`` to vertex ``u`` is ``chr(v * n_vertices + u)``.
+    The string is exact: two orders with the same ``n_vertices`` and
+    ``codes`` are the same integer graph.  A code is below
+    ``n_vertices ** 2``, so it fits one code point (below 0x110000) while
+    ``n_vertices <= _MAX_CODED_VERTICES`` (1,055), which every word of at most
+    1,055 letters meets; past that ``chr`` raises ``ValueError`` rather than
+    wrap.  The string is hashable and far lighter than a tuple of ints, so a
+    memo can key on it; :func:`_unpack` rebuilds the adjacency.  ``orders``
+    ascends and ends below ``len(s)``.  A word's factor graph is weakly connected
+    (consecutive windows share an edge), so ``len(codes) - n_vertices + 1``
+    is its cyclomatic number without a connectivity search.
     """
     letters: dict[str, int] = {}
     ids = [letters.setdefault(c, len(letters)) for c in s]  # vertex id at each start
     size = len(letters)
     for i in range(1, orders.stop):
-        index: dict[int, int] = {}  # prefix id * size + suffix id -> edge id
-        head: list[int] = []
-        out: list[list[int]] = [[] for _ in range(size)]
-        edge_ids = []
-        for j in range(len(ids) - 1):
-            # a length-(i+1) factor is its prefix vertex and its suffix vertex
-            v, u = ids[j], ids[j + 1]
-            e = index.setdefault(v * size + u, len(head))
-            if e == len(head):
-                head.append(u)
-                out[v].append(e)
-            edge_ids.append(e)
+        # a length-(i+1) factor is its prefix vertex and its suffix vertex
+        index: dict[int, int] = {}  # code -> edge id, in first-occurrence order
+        ids = [index.setdefault(v * size + u, len(index)) for v, u in zip(ids, ids[1:])]
         if i in orders:
-            yield i, head, out, size
-        ids, size = edge_ids, len(head)
+            yield i, size, "".join(map(chr, index))
+        size = len(index)
+
+
+def _unpack(size: int, codes: str) -> tuple[list[int], list[list[int]]]:
+    """``(head, out)`` of the integer graph that :func:`_index_graphs` encoded as ``codes``.
+
+    ``head[e]`` is the end vertex of edge ``e`` and ``out[v]`` lists the
+    edges leaving vertex ``v`` in increasing id order.
+    """
+    head = []
+    out: list[list[int]] = [[] for _ in range(size)]
+    for e, code in enumerate(map(ord, codes)):
+        v, u = divmod(code, size)
+        head.append(u)
+        out[v].append(e)
+    return head, out
 
 
 def build_rauzy_graph(w: str, i: int) -> RauzyGraph:

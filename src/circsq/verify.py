@@ -37,14 +37,18 @@ lists, from the one circuit search in :mod:`circsq.rauzy`, which runs over
 the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
 since every higher order is then a path, and ranks only each order's small
 circuits: a check that every circuit is an elementary closed walk stands in
-for ranking them all.  The class checks (``class-parity``,
-``class-circuits``, ``count-chain``) read each power class as its conjugates'
-top exponents, from one scan of the word's periodic runs, and count its
-members from them.  Checks that read one word stream share a pass over it
-per length and compute a shared fact once per word; with several jobs each
-worker of one pool per suite sweeps one contiguous range of each level's
-stream.  A sweep, with one job or several, can checkpoint
-to a line-oriented file whose v3 header fingerprints its config.  Each
+for ranking them all.  Those per-order facts are a pure function of the
+order's graph, which comes as a hashable code string, so ``circuit-rank``
+memoizes them by (order, graph, cap) in a bounded LRU memo; renamed words
+that share a prefix share their low-order graphs and read the facts back.
+The class checks (``class-parity``, ``class-circuits``, ``count-chain``)
+read each power class as its conjugates' top exponents, from one scan of
+the word's periodic runs, and count its members from them.  Checks that
+read one word stream share a pass over it per length and compute a shared
+fact once per word; with several jobs each worker of one pool per suite
+sweeps one contiguous range of each level's stream.  A sweep, with one job
+or several, can checkpoint to a line-oriented file whose v3 header
+fingerprints its config.  Each
 per-word evaluator writes straight into the :class:`CheckReport` of the
 level it sweeps: it appends violations, flagged entries and a word its
 circuit cap skipped, offers its ratio as the witness, and adds to stats
@@ -66,11 +70,13 @@ from string import ascii_lowercase
 from typing import Callable
 
 from .rauzy import (
+    _MAX_CODED_VERTICES,
     DEFAULT_CIRCUIT_CAP,
     CircuitCapExceeded,
     _circuit_edges,
     _edge_vectors,
     _index_graphs,
+    _unpack,
     circuit_root,
     decompose_split,
     independent_rank,
@@ -444,27 +450,53 @@ def _is_elementary_closed_walk(c: list[int], head: list[int], out: list[list[int
     return len(set(heads)) == len(c) and all(e in out[v] for v, e in zip(heads, c[1:] + c[:1]))
 
 
+# Distinct (order, graph, cap) keys whose circuit facts stay memoized: the
+# renamed words of a level share prefixes, so most of their low-order graphs
+# repeat (2,570 distinct among 17,270 circuit-bearing orders at (2,12)).
+_ORDER_FACTS_MEMO = 1024
+
+
+@lru_cache(maxsize=_ORDER_FACTS_MEMO)
+def _order_facts(order: int, size: int, codes: str, cap: int) -> tuple[int, bool, bool] | None:
+    """``circuit-rank``'s facts about one order's integer factor graph, or ``None`` past ``cap``.
+
+    The graph is ``(size, codes)`` as :func:`circsq.rauzy._index_graphs`
+    yields it; the facts are the number of small circuits (length at most
+    ``order``), whether they are independent, and whether every circuit is
+    an elementary closed walk.  They are a pure function of the key, so every
+    word whose order-``order`` graph has the same code string reads them back
+    from the memo instead of rerunning the search, the rank and the guard.
+    """
+    head, edges_out = _unpack(size, codes)
+    try:
+        circuits = _circuit_edges(head, edges_out, size, cap)
+    except CircuitCapExceeded:
+        return None
+    small = [c for c in circuits if len(c) <= order]
+    independent = not small or independent_rank(_edge_vectors(small, len(head))) == len(small)
+    # An elementary closed walk lies in the graph's chi-dimensional cycle
+    # space, so this guard bounds the rank of all circuits by chi.
+    closed = all(_is_elementary_closed_walk(c, head, edges_out) for c in circuits)
+    return len(small), independent, closed
+
+
 def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     sc_total = 0
-    for i, head, edges_out, size in _index_graphs(w, range(1, n)):
-        chi = len(head) - size + 1
-        if chi == 0:
+    for i, size, codes in _index_graphs(w, range(1, n)):
+        if len(codes) == size - 1:
             # a connected graph with |E| = |V| - 1 is a tree, so every
             # length-(i+1) factor occurs once and every higher order is a path
             break
-        try:
-            circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
-        except CircuitCapExceeded:
+        facts = _order_facts(i, size, codes, cfg.circuit_cap)
+        if facts is None:
             rep.skipped.append(w)
             return
-        small = [c for c in circuits if len(c) <= i]
-        sc_total += len(small)
-        if small and independent_rank(_edge_vectors(small, len(head))) != len(small):
+        n_small, independent, closed = facts
+        sc_total += n_small
+        if not independent:
             rep.violations.append((w, f"small circuits at order {i} are dependent"))
-        # An elementary closed walk lies in the graph's chi-dimensional cycle
-        # space, so this guard bounds the rank of all circuits by chi.
-        if not all(_is_elementary_closed_walk(c, head, edges_out) for c in circuits):
+        if not closed:
             rep.violations.append((w, f"a circuit at order {i} is not an elementary closed walk"))
     bound = n - len(set(w))
     if sc_total > bound:
@@ -629,11 +661,12 @@ def _eval_count_chain(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
 
     small_count = 0
     indep_total = 0
-    for order, head, edges_out, size in _index_graphs(doubled, range(1, n + 1)):
-        chi = len(head) - size + 1
+    for order, size, codes in _index_graphs(doubled, range(1, n + 1)):
+        chi = len(codes) - size + 1
         indep_total += chi
         if chi == 0:
             continue  # a tree: no circuit
+        head, edges_out = _unpack(size, codes)
         try:
             circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
         except CircuitCapExceeded:
@@ -1002,6 +1035,11 @@ LARGE_CIRCUIT_INSTANCES: tuple[tuple[str, str, int], ...] = (
 def _validate_large_circuit_instance(w: str, p: str, k: int) -> None:
     validate_word(w)
     validate_word(p)
+    if len(w) > _MAX_CODED_VERTICES:
+        # the top orders of w + w have at most len(w) vertices
+        raise ValueError(
+            f"word length {len(w)} exceeds {_MAX_CODED_VERTICES}, the graph code's limit"
+        )
     if not is_primitive(p):
         raise ValueError(f"hypothesis failed: p={p!r} is not primitive")
     if k < 4:
@@ -1036,8 +1074,9 @@ def check_large_circuit(
         jobs=1,
     )
     # The search runs at every order, trees included: rank >= chi must fire at chi = 0.
-    for order, head, edges_out, size in _index_graphs(w + w, range(n - l + 1, n + 1)):
-        chi = len(head) - size + 1
+    for order, size, codes in _index_graphs(w + w, range(n - l + 1, n + 1)):
+        chi = len(codes) - size + 1
+        head, edges_out = _unpack(size, codes)
         try:
             circuits = _circuit_edges(head, edges_out, size, circuit_cap)
         except CircuitCapExceeded:

@@ -129,6 +129,11 @@ _PINNED_TEXT = [
         ),
     ),
     (
+        # the CSV columns are the edge, its tail (start vertex) and its head
+        ('rauzy', 'abacabacabac', '--order', '1', '--format', 'csv'),
+        'edge,tail,head\r\nab,a,b\r\nac,a,c\r\nba,b,a\r\nca,c,a\r\n',
+    ),
+    (
         ('rauzy', 'abacabacabac', '--order', '2'),
         (
             'order 2: 4 vertices, 4 edges, chi=1\n  ab -> ba  [aba]\n  ac -> ca  [aca]\n'

@@ -21,7 +21,13 @@ from circsq.rauzy import (
     to_dot,
     vector_cycle,
 )
-from circsq.rauzy import DEFAULT_CIRCUIT_CAP, _circuit_edges, _edge_vectors, _index_graphs
+from circsq.rauzy import (
+    DEFAULT_CIRCUIT_CAP,
+    _circuit_edges,
+    _edge_vectors,
+    _index_graphs,
+    _unpack,
+)
 from circsq.words import circular_factors, factors, is_primitive
 
 from conftest import fraction_rank, naive_circuits, words_over
@@ -79,7 +85,8 @@ def test_rauzy_graphs_always_weakly_connected():
             for w in words_over(k, n):
                 graphs = list(_index_graphs(w, range(1, n)))
                 assert [t[0] for t in graphs] == list(range(1, n)), w
-                for i, head, out, size in graphs:
+                for i, size, codes in graphs:
+                    head, out = _unpack(size, codes)
                     g = build_rauzy_graph(w, i)
                     assert is_weakly_connected(g), (w, i)
                     assert g == RauzyGraph(i, factors(w, i), factors(w, i + 1)), (w, i)
@@ -89,12 +96,35 @@ def test_rauzy_graphs_always_weakly_connected():
                     assert out == [
                         [x for x, e in enumerate(edges) if e[:-1] == v] for v in vertices
                     ], (w, i)
-                    chi = len(head) - size + 1
+                    chi = len(codes) - size + 1
                     assert chi == cyclomatic_number(g), (w, i)
                     if chi == 0:
                         assert naive_circuits(g) == set(), (w, i)
                 # a range of orders that starts above 1 yields the same graphs
                 assert list(_index_graphs(w, range(n // 2, n))) == graphs[n // 2 - 1 :], w
+
+
+def test_unpack_round_trips_to_the_relabeled_graph():
+    # at every order of w and of w + w, the code string unpacks to the
+    # validated graph with its factors renumbered in first-occurrence order
+    for k, top in ((2, 10), (3, 8)):
+        for n in range(1, top + 1):
+            for w in words_over(k, n):
+                for s in (w, w + w):
+                    vertices = _first_occurrences(s, 1)
+                    for i, size, codes in _index_graphs(s, range(1, len(s))):
+                        g = build_rauzy_graph(s, i)
+                        head, out = _unpack(size, codes)
+                        assert size == len(vertices) == len(g.vertices), (s, i)
+                        assert len(head) == len(codes) == len(g.edges), (s, i)
+                        edges = [None] * len(head)
+                        for v, leaving in enumerate(out):
+                            assert leaving == sorted(leaving), (s, i)
+                            for e in leaving:
+                                edges[e] = vertices[v] + vertices[head[e]][-1]
+                        assert edges == _first_occurrences(s, i + 1), (s, i)
+                        assert sorted(edges) == list(g.edges), (s, i)
+                        vertices = edges
 
 
 def test_cyclomatic_number_values():
@@ -292,7 +322,8 @@ def test_cycle_vectors_match_vector_cycle_at_every_order():
     for k, top in ((2, 9), (3, 6)):
         for n in range(2, top + 1):
             for w in words_over(k, n):
-                for i, head, out, size in _index_graphs(w, range(1, n)):
+                for i, size, codes in _index_graphs(w, range(1, n)):
+                    head, out = _unpack(size, codes)
                     g = build_rauzy_graph(w, i)
                     column = [g.edges.index(e) for e in _first_occurrences(w, i + 1)]
                     circuits = _circuit_edges(head, out, size, DEFAULT_CIRCUIT_CAP)

@@ -315,6 +315,8 @@ def test_circuit_rank_reports_a_walk_that_does_not_close(monkeypatch):
     # "aab" at order 1: a -> a is edge 0, a -> b edge 1, and b has no way back
     from circsq.verify import _eval_circuit_rank
 
+    # the unmemoized facts run the patched search and leave the memo alone
+    monkeypatch.setattr(verify, "_order_facts", verify._order_facts.__wrapped__)
     monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 1]])
     out = _evaluate(_eval_circuit_rank, "aab")
     assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
@@ -322,6 +324,38 @@ def test_circuit_rank_reports_a_walk_that_does_not_close(monkeypatch):
     monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 0]])
     out = _evaluate(_eval_circuit_rank, "aab")
     assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
+
+
+def test_circuit_rank_memo_matches_cold_runs():
+    # an order's circuit facts read back from the memo give each word the
+    # report a search from scratch gives it
+    from circsq.verify import _eval_circuit_rank
+
+    def cold(w, cfg):
+        verify._order_facts.cache_clear()
+        return _evaluate(_eval_circuit_rank, w, cfg)
+
+    cfg = SweepConfig()
+    words = [
+        w for k, top in ((2, 11), (3, 7)) for n in range(1, top + 1)
+        for w in _iter_rename_canonical(k, n)
+    ]
+    verify._order_facts.cache_clear()
+    warm = [_evaluate(_eval_circuit_rank, w, cfg).to_dict() for w in words]
+    for w, report in zip(words, warm):
+        assert cold(w, cfg).to_dict() == report, w
+    # the cap is part of the key: facts found under one cap never answer
+    # another, in either order
+    level = list(_iter_rename_canonical(2, 8))
+    tight, loose = SweepConfig(circuit_cap=1), SweepConfig()
+    expected = {
+        cfg.circuit_cap: [w for w in level if cold(w, cfg).skipped] for cfg in (tight, loose)
+    }
+    assert expected[1] and not expected[DEFAULT_CIRCUIT_CAP]
+    verify._order_facts.cache_clear()
+    for cfg in (tight, loose, tight):
+        skipped = [w for w in level if _evaluate(_eval_circuit_rank, w, cfg).skipped]
+        assert skipped == expected[cfg.circuit_cap], cfg.circuit_cap
 
 
 def test_class_circuits_examples_direct():
@@ -502,6 +536,16 @@ def test_large_circuit_preconditions_name_the_failed_clause():
         check_large_circuit("abababab", "ab", 4)  # r == 0
     with pytest.raises(ValueError, match="circular factor"):
         check_large_circuit("abcbcbcbc", "ab", 4)
+
+
+def test_large_circuit_word_length_fits_the_graph_code():
+    # the top orders of a 1,055-letter instance code every edge in one code
+    # point; one letter more is refused before any graph is cut
+    p = "a" * 209 + "b"
+    rep = check_large_circuit(p * 5 + "c" * 5, p, 5)
+    assert rep.passed and rep.stats["orders_checked"] == 210
+    with pytest.raises(ValueError, match="1056 exceeds 1055"):
+        check_large_circuit(p * 5 + "c" * 6, p, 5)
 
 
 # ---------------------------------------------------------------------------
