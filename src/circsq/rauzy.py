@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .words import (
     canonical_rotation,
@@ -452,20 +453,34 @@ def split_point(p: str) -> int | None:
 
     This is the largest ``m`` with fewer than ``len(p)`` circular factors of
     length ``m``; ``None`` when already the alphabet of ``p`` has full size
-    (the family is elementary at every order).  The windows of each length
-    are cut from ``p + p``: a primitive ``p`` has ``len(p)`` distinct ones
-    of length ``len(p)``, so every window tried fits.
+    (the family is elementary at every order).  The circular factors of
+    length ``m + 1`` are all distinct exactly when no two rotations of ``p``
+    share a prefix of that length, so ``m`` is the longest common prefix of
+    two rotations, and the longest such prefix is found between neighbours
+    once the rotations are sorted.  The rotations of a primitive ``p`` are
+    distinct, so each common prefix is shorter than ``p`` and equals that of
+    the two rotations repeated forever.  The last word's answer is memoized,
+    so :func:`decompose_split` and the checks that read one word's split
+    point find it once.
     """
     validate_word(p)
     if not is_primitive(p):
         raise ValueError(f"{p!r} is not primitive")
+    return _split_point(p)
+
+
+@lru_cache(maxsize=1)
+def _split_point(p: str) -> int | None:
+    """:func:`split_point` of a word already validated as primitive."""
     l = len(p)
     if len(set(p)) == l:
         return None
     doubled = p + p
-    m = 1
-    while len({doubled[i : i + m + 1] for i in range(l)}) < l:
-        m += 1
+    rotations = sorted([doubled[i : i + l] for i in range(l)])
+    m = 0
+    for a, b in zip(rotations, rotations[1:]):
+        while a[: m + 1] == b[: m + 1]:
+            m += 1
     return m
 
 
@@ -475,11 +490,18 @@ def decompose_split(p: str, m: int) -> list[Circuit]:
     ``m`` must be the split point of ``p``.  The periodic walk of ``p`` is
     followed for one period from the canonical rotation; every time a window
     repeats, the enclosed stretch is popped as one elementary circuit.  The
-    circuit lengths always sum to ``len(p)``.
+    circuit lengths always sum to ``len(p)``.  The last word's circuits are
+    memoized, like its split point.
     """
     actual = split_point(p)
     if actual != m:
         raise ValueError(f"circuits of {p!r} split at {actual}, not {m}")
+    return list(_split_circuits(p, m))
+
+
+@lru_cache(maxsize=1)
+def _split_circuits(p: str, m: int) -> tuple[Circuit, ...]:
+    """:func:`decompose_split` of a primitive word at its split point ``m``."""
     base = canonical_rotation(p)
     l = len(base)
     ext = base * ((l + m + 1) // l + 1)
@@ -502,7 +524,7 @@ def decompose_split(p: str, m: int) -> list[Circuit]:
             pos[v] = len(stack) - 1
     if len(stack) != 1 or edge_stack:
         raise AssertionError(f"periodic walk of {p!r} did not close at order {m}")
-    return sorted(circuits, key=lambda c: (c.length, c.edges))
+    return tuple(sorted(circuits, key=lambda c: (c.length, c.edges)))
 
 
 def to_dot(g: RauzyGraph) -> str:

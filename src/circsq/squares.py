@@ -1,14 +1,17 @@
 """Distinct-square and power-factor counting for linear and circular words.
 
-Square detection is one deliberately naive quadratic scan,
-:func:`_square_scan`: linear squares, circular squares on the doubled word and
-the sweeps' counts all read it, and the rotation union
-:func:`distinct_squares_circular` is kept as its oracle.  Power factors come
-from one scan of the word's periodic runs: a power ``q ** k`` (``k >= 2``,
-``q`` primitive) lies in a maximal ``|q|``-periodic run, and its presence
-implies ``q ** (k - 1)``, so a class keyed by the canonical rotation of its
-root is fully given by each conjugate's top exponent, with no primitivity test
-per factor.  The sweeps read those tops; :func:`class_decomposition` spells
+The sweeps count circular squares with a bit-parallel kernel,
+:func:`_circular_square_count`: one integer bit plane per bit of the letter
+codes, so each half length costs a few shifts and masks instead of a slice
+comparison per start.  Listing squares, linear or circular, is one
+deliberately naive quadratic scan, :func:`_square_scan`, which is also the
+kernel's oracle and the independent route of the class-parity cross-check;
+the rotation union :func:`distinct_squares_circular` is kept as the oracle of
+the doubled-word listing.  Power factors come from one scan of the word's
+periodic runs: a power ``q ** k`` (``k >= 2``, ``q`` primitive) lies in a
+maximal ``|q|``-periodic run, and its presence implies ``q ** (k - 1)``, so a
+class keyed by the canonical rotation of its root is fully given by each
+conjugate's top exponent, with no primitivity test per factor.  The sweeps read those tops; :func:`class_decomposition` spells
 them out as validated :class:`PowerClass` member sets split by exponent
 parity, which only the CLI and the tests build; a primitivity test on every
 factor is kept as their oracle.
@@ -81,6 +84,72 @@ def _square_scan(s: str, n: int) -> set[str]:
             if s[i : i + half] == s[i + half : i + 2 * half]:
                 found.add(s[i : i + 2 * half])
     return found
+
+
+# ``_BIT_TABLES[b]`` translates each ASCII letter to bit ``b`` of its code, as "0" or "1".
+_BIT_TABLES = tuple("".join("01"[c >> b & 1] for c in range(128)) for b in range(7))
+
+
+def _circular_square_count(w: str) -> int:
+    """``len(_square_scan(w + w, len(w)))``, bit-parallel; ``w`` must already be validated.
+
+    Bit ``j`` of a plane is one bit of the code of ``(w + w)[j]``, with one
+    plane per bit on which the letters' codes differ; any one of those bits
+    tells two letters apart, so one plane then suffices.  For a half ``h``
+    the OR over planes of ``P ^ (P >> h)`` has bit ``j`` set where letters
+    ``j`` and ``j + h`` differ, so a square of half ``h`` starts at ``i``
+    exactly where the complement holds ``h`` set bits from bit ``i`` on;
+    ANDing it with itself shifted by doubling steps leaves those starts.
+    Only starts below ``n`` count, and their windows end before bit
+    ``2n - h``, below which the shifted planes are exact.  A start ``i`` with
+    another at ``i - h`` repeats that square (the run has period ``h``), so
+    it is dropped, and a set of slices is built only when two or more starts
+    are left.
+    """
+    n = len(w)
+    s = w + w
+    reverse = s[::-1]  # int(..., 2) reads its first digit as the top bit
+    letters = set(w)
+    first = ord(w[0])
+    differ = 0
+    for c in letters:
+        differ |= ord(c) ^ first
+    if len(letters) == 2:
+        differ &= -differ
+    planes = [
+        int(reverse.translate(_BIT_TABLES[b]), 2)
+        for b in range(differ.bit_length())
+        if differ >> b & 1
+    ]
+    low = (1 << n) - 1
+    full = (1 << 2 * n) - 1
+    total = 0
+    for h in range(1, n // 2 + 1):
+        mismatch = 0
+        for p in planes:
+            mismatch |= p ^ (p >> h)
+        x = full ^ mismatch
+        run = 1
+        while 2 * run <= h:
+            x &= x >> run
+            run *= 2
+        if run < h:
+            x &= x >> (h - run)
+        x &= low
+        x &= ~(x << h)
+        if not x:
+            continue
+        if not x & (x - 1):  # one start
+            total += 1
+            continue
+        found = set()
+        while x:
+            bit = x & -x
+            i = bit.bit_length() - 1
+            found.add(s[i : i + 2 * h])
+            x ^= bit
+        total += len(found)
+    return total
 
 
 def distinct_squares(w: str) -> SquareSet:

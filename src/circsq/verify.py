@@ -43,7 +43,10 @@ memoizes them by (order, graph, cap) in a bounded LRU memo; renamed words
 that share a prefix share their low-order graphs and read the facts back.
 The class checks (``class-parity``, ``class-circuits``, ``count-chain``)
 read each power class as its conjugates' top exponents, from one scan of
-the word's periodic runs, and count its members from them.  Checks that
+the word's periodic runs, and count its members from them.  The bound checks
+count circular squares with the bit-parallel kernel of :mod:`circsq.squares`;
+``class-parity`` compares its even-power totals with linear squares listed by
+the naive scan, a route independent of that kernel.  Checks that
 read one word stream share a pass over it per length and compute a shared
 fact once per word; with several jobs each worker of one pool per suite
 sweeps one contiguous range of each level's stream.  A sweep, with one job
@@ -83,6 +86,7 @@ from .rauzy import (
     split_point,
 )
 from .squares import (
+    _circular_square_count,
     _class_tops,
     _square_scan,
     odd_even_counts,
@@ -263,10 +267,10 @@ def circular_square_count(w: str) -> int:
     These are the squares of ``w + w`` no longer than ``len(w)``.  That set is
     the same for every rotation of ``w``, so ``w`` need not be its least
     rotation (swept necklaces already are; :func:`search_extremal` passes
-    any word).
+    any word).  They are counted by the bit-parallel kernel of
+    :mod:`circsq.squares`, not listed.
     """
-    validate_word(w)
-    return len(_square_scan(w + w, len(w)))
+    return _circular_square_count(validate_word(w))
 
 
 # One-entry memos of facts that several checks of a stream read, word by word.

@@ -45,6 +45,19 @@ def brute_circular_squares(w: str) -> set[str]:
     return out
 
 
+def window_split_point(p: str) -> int | None:
+    """The split point of primitive ``p``, growing ``m`` one window set at a time:
+    the least ``m`` whose ``m + 1``-long circular windows are all distinct."""
+    l = len(p)
+    if len(set(p)) == l:
+        return None
+    doubled = p + p
+    m = 1
+    while len({doubled[i : i + m + 1] for i in range(l)}) < l:
+        m += 1
+    return m
+
+
 def brute_extremal(k: int, n: int) -> tuple[int, str]:
     """The most distinct circular squares of any word of length ``n`` over ``k``
     letters, and the lexicographically least word that has that many."""

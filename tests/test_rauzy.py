@@ -390,8 +390,8 @@ def test_split_point_examples():
 
 def test_split_point_matches_the_definition_exhaustively():
     # the largest m < len(p) with fewer than len(p) circular factors of
-    # length m, else None, on every primitive binary word to 12 and ternary to 8
-    for k, top in ((2, 12), (3, 8)):
+    # length m, else None, on every primitive binary word to 14 and ternary to 8
+    for k, top in ((2, 14), (3, 8)):
         for n in range(1, top + 1):
             for p in words_over(k, n):
                 if not is_primitive(p):

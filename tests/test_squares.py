@@ -2,13 +2,16 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 
 from circsq.squares import (
     PowerClass,
     SquareSet,
+    _circular_square_count,
     _class_tops,
+    _square_scan,
     class_decomposition,
     decomposition_report,
     distinct_squares,
@@ -88,6 +91,31 @@ def test_circular_count_invariant_under_symmetries():
         permuted = "".join(perm[ch] for ch in w)
         assert distinct_squares_circular(CircularWord(permuted)).count == base
         assert distinct_squares_circular(CircularWord(w[::-1])).count == base
+
+
+def test_circular_square_kernel_matches_the_scan_across_bit_planes():
+    # letter codes that differ in several bit planes (all seven for "0a~ "),
+    # two letters that differ in five (one plane is read), and ten digits
+    for letters, top in (("0a~ ", 7), ("aZ", 12), ("0123456789", 4)):
+        for n in range(1, top + 1):
+            for w in map("".join, product(letters, repeat=n)):
+                expected = _square_scan(w + w, n)
+                assert expected == brute_circular_squares(w), w
+                assert _circular_square_count(w) == len(expected), w
+
+
+def test_circular_square_kernel_matches_the_scan_on_long_random_words():
+    # planes of 40 to 128 bits, wider than one machine word
+    rng = random.Random(16)
+    alphabets = ("ab", "abc", "aZ", "0a~ ", "0123456789")
+    for i in range(2000):
+        letters = alphabets[i % len(alphabets)]
+        n = rng.randint(20, 64)
+        w = "".join(rng.choice(letters) for _ in range(n))
+        expected = _square_scan(w + w, n)
+        assert _circular_square_count(w) == len(expected), w
+        if i < 50:
+            assert expected == brute_circular_squares(w), w
 
 
 def test_linear_square_count_at_most_length():

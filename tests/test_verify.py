@@ -32,6 +32,7 @@ from conftest import (
     fraction_rank,
     naive_circuits,
     small_circuit_total,
+    window_split_point,
     words_over,
 )
 from dataclasses import replace
@@ -509,6 +510,57 @@ def test_case_classification_split_routes():
     assert split_point("aabaabaabab") == 9
     assert sorted(c.length for c in decompose_split("aabaabaabab", 9)) == [3, 8]
     assert _classify_case("aabaabaabab") == ("case3", (3, 5))
+
+
+def test_case_classification_matches_the_window_set_split_point(monkeypatch):
+    # every primitive binary necklace to 14, classified once with the sorted
+    # rotations and once with split points grown window set by window set
+    from circsq import rauzy
+    from circsq.verify import _classify_case, _iter_necklaces
+
+    words = [w for n in range(1, 15) for w in _iter_necklaces(2, n) if is_primitive(w)]
+    expected = [_classify_case(w) for w in words]
+    rauzy._split_circuits.cache_clear()
+    monkeypatch.setattr(rauzy, "_split_point", window_split_point)
+    assert [_classify_case(w) for w in words] == expected
+    rauzy._split_circuits.cache_clear()
+
+
+def test_split_checks_share_one_split_memo():
+    # splits and case-bounds read one word's split point and circuits once;
+    # decompose_split's own check of the split point reads the memo
+    from circsq import rauzy
+    from circsq.verify import _eval_case_bounds, _eval_splits
+
+    point, circuits = rauzy._split_point, rauzy._split_circuits
+    point.cache_clear()
+    circuits.cache_clear()
+    p = "aabaabaabab"  # splits at 9 into circuits of 3 and 8, then at 6 on the 8-root
+    _evaluate(_eval_splits, p)
+    assert (point.cache_info().hits, point.cache_info().misses) == (1, 1)
+    assert (circuits.cache_info().hits, circuits.cache_info().misses) == (0, 1)
+    _evaluate(_eval_case_bounds, p)
+    # p read back twice; the 8-root computed once and read back by its decomposition
+    assert (point.cache_info().hits, point.cache_info().misses) == (4, 2)
+    assert (circuits.cache_info().hits, circuits.cache_info().misses) == (1, 2)
+
+
+def test_class_parity_cross_checks_against_the_naive_scan(monkeypatch):
+    # the even-power total is compared with squares listed by the naive scan,
+    # never with the bit-parallel count that the bound checks read
+    scanned = []
+    scan = verify._square_scan
+    monkeypatch.setattr(verify, "_square_scan", lambda s, n: scanned.append(s) or scan(s, n))
+
+    def kernel(w):
+        raise AssertionError("class-parity read the circular square count")
+
+    monkeypatch.setattr(verify, "_circular_square_count", kernel)
+    monkeypatch.setattr(verify, "circular_square_count", kernel)
+    words = ["aabaab", "abacabacabac", "ab"]
+    for w in words:
+        assert not _evaluate(verify._eval_class_parity, w).violations
+    assert scanned == words
 
 
 # ---------------------------------------------------------------------------
