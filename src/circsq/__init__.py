@@ -9,7 +9,6 @@ from .words import (
     CircularWord,
     InvalidWordError,
     PrimitiveRoot,
-    alphabet,
     canonical_rotation,
     circular_factors,
     factors,
@@ -33,12 +32,9 @@ from .squares import (
 from .rauzy import (
     Circuit,
     CircuitCapExceeded,
-    ClassCircuit,
     RauzyGraph,
     build_rauzy_graph,
     circuit_root,
-    class_circuit,
-    contains_class_circuit,
     cyclomatic_number,
     decompose_split,
     enumerate_elementary_circuits,

@@ -82,8 +82,6 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _graph_for(args: argparse.Namespace) -> rauzy.RauzyGraph:
     w = _word_arg(args.word)
-    if args.order is None:
-        raise _UsageError("--order is required")
     if not 1 <= args.order <= len(w) - 1:
         raise _UsageError(f"order {args.order} out of range 1..{len(w) - 1} for {w!r}")
     return rauzy.build_rauzy_graph(w, args.order)

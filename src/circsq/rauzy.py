@@ -5,8 +5,10 @@ factors as vertices and the length-``i+1`` factors as edges; an edge runs
 from its prefix to its suffix.  The public :class:`RauzyGraph` holds factor
 strings, edges sorted; :func:`build_rauzy_graph` validates the word and the
 order and cuts one graph.  :class:`RauzyGraph` and :class:`Circuit` have one
-constructor each, which validates and normalizes; only the CLI and the tests
-build them, so no sweep pays for that.
+constructor each, which validates and normalizes.  Only the CLI and the tests
+build a :class:`RauzyGraph`, so no sweep pays for that; the ``splits`` and
+``case-bounds`` sweeps do build a :class:`Circuit` for each circuit that
+:func:`decompose_split` pops from a word.
 
 The sweeps read a private integer route instead: ``_index_graphs`` cuts
 every order's graph straight from the word, vertices and edges numbered in
@@ -33,20 +35,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import (
-    canonical_rotation,
-    circular_factors,
-    factors,
-    is_primitive,
-    validate_word,
-)
+from .words import canonical_rotation, is_primitive, validate_word
 
 __all__ = [
     "DEFAULT_CIRCUIT_CAP",
     "CircuitCapExceeded",
     "RauzyGraph",
     "Circuit",
-    "ClassCircuit",
     "build_rauzy_graph",
     "is_weakly_connected",
     "cyclomatic_number",
@@ -54,8 +49,6 @@ __all__ = [
     "vector_cycle",
     "independent_rank",
     "circuit_root",
-    "class_circuit",
-    "contains_class_circuit",
     "split_point",
     "decompose_split",
     "to_dot",
@@ -90,13 +83,6 @@ class RauzyGraph:
                 raise ValueError(f"edge {e!r} does not have length {self.order + 1}")
             if e[:-1] not in self.vertices or e[1:] not in self.vertices:
                 raise ValueError(f"edge {e!r} has an endpoint outside the vertex set")
-
-    def successors(self) -> dict[str, list[str]]:
-        """Vertex -> successor vertices, each list sorted."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e[:-1]].append(e[1:])
-        return adj
 
 
 # The most vertices a code string of _index_graphs holds: 1055 ** 2 <= 0x110000.
@@ -405,47 +391,6 @@ def independent_rank(vectors: list[tuple[int, ...]]) -> int:
         denom = pv
         rank += 1
     return rank
-
-
-@dataclass(frozen=True)
-class ClassCircuit:
-    """The subgraph a primitive word induces at one order.
-
-    Vertices are its circular factors of that order, edges those one longer.
-    It is an elementary circuit exactly when the vertex count equals the
-    root length, and small when the root fits within the order.
-    """
-
-    root: str
-    order: int
-    vertex_set: frozenset[str]
-    edge_set: frozenset[str]
-    is_elementary: bool
-    is_small: bool
-
-
-def class_circuit(p: str, l: int) -> ClassCircuit:
-    """The circular-factor subgraph of primitive ``p`` at order ``l``."""
-    validate_word(p)
-    if not is_primitive(p):
-        raise ValueError(f"{p!r} is not primitive")
-    if l < 1:
-        raise ValueError(f"order {l} must be positive")
-    vs = frozenset(circular_factors(p, l))
-    es = frozenset(circular_factors(p, l + 1))
-    return ClassCircuit(p, l, vs, es, len(vs) == len(p), len(p) <= l)
-
-
-def contains_class_circuit(w: str, p: str, l: int) -> bool:
-    """True when the order-``l`` subgraph of ``p`` lies inside the graph of ``w``."""
-    validate_word(w)
-    if not is_primitive(p):
-        raise ValueError(f"{p!r} is not primitive")
-    if not 1 <= l <= len(w) - 1:
-        raise ValueError(f"order {l} out of range 1..{len(w) - 1}")
-    return circular_factors(p, l) <= factors(w, l) and circular_factors(p, l + 1) <= factors(
-        w, l + 1
-    )
 
 
 def split_point(p: str) -> int | None:

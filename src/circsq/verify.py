@@ -110,7 +110,6 @@ __all__ = [
     "LARGE_CIRCUIT_INSTANCES",
     "search_extremal",
     "necklace_form",
-    "is_necklace_canonical",
     "circular_square_count",
 ]
 
@@ -148,11 +147,6 @@ def necklace_form(w: str) -> str:
         if cand < best:
             best = cand
     return best
-
-
-def is_necklace_canonical(w: str) -> bool:
-    """True when ``w`` equals its own :func:`necklace_form`."""
-    return necklace_form(w) == w
 
 
 def _iter_rename_canonical(k: int, n: int):
@@ -244,21 +238,6 @@ def _iter_necklaces(k: int, n: int):
             yield from rec(t + 1, p if c == low else t + 1, max(used, c + 1))
 
     yield from rec(1, 1, 1)
-
-
-def _iter_stream(k: int, n: int, canonicalize: bool, necklace: bool):
-    """Words of length ``n`` over ``k`` letters, in lex order.
-
-    Without ``canonicalize`` every word; otherwise the first-occurrence-renamed
-    words, or, when ``necklace`` is set, the necklace representatives (least
-    under rotation plus renaming) generated directly by :func:`_iter_necklaces`.
-    Every sweep and the exhaustive extremal search reads its words here.
-    """
-    if not canonicalize:
-        return ("".join(w) for w in product(ascii_lowercase[:k], repeat=n))
-    if necklace:
-        return _iter_necklaces(k, n)
-    return _iter_rename_canonical(k, n)
 
 
 def circular_square_count(w: str) -> int:
@@ -722,17 +701,29 @@ def _iter_nonprimitive(k: int, n: int, canonicalize: bool) -> list[str]:
         if n % l:
             continue
         e = n // l
-        for u in _iter_stream(k, l, canonicalize, necklace=True):
+        for u in _level("necklace", k, l, canonicalize):
             if is_primitive(u):
                 words.add(u * e)
     return sorted(words)
 
 
-def _level(stream: str, cfg: SweepConfig, n: int):
-    """The words of length ``n`` that ``stream`` sweeps, in lex order."""
+def _level(stream: str, k: int, n: int, canonicalize: bool):
+    """The words of length ``n`` over ``k`` letters that ``stream`` sweeps, in lex order.
+
+    Without ``canonicalize`` the ``necklace`` and ``rename`` streams are every
+    word; otherwise ``rename`` is the first-occurrence-renamed words and
+    ``necklace`` the necklace representatives (least under rotation plus
+    renaming) generated directly by :func:`_iter_necklaces`.  The
+    ``nonprimitive`` stream is :func:`_iter_nonprimitive`.  Every sweep and the
+    exhaustive extremal search reads its words here.
+    """
     if stream == "nonprimitive":
-        return _iter_nonprimitive(cfg.alphabet_size, n, cfg.canonicalize)
-    return _iter_stream(cfg.alphabet_size, n, cfg.canonicalize, stream == "necklace")
+        return _iter_nonprimitive(k, n, canonicalize)
+    if not canonicalize:
+        return ("".join(w) for w in product(ascii_lowercase[:k], repeat=n))
+    if stream == "necklace":
+        return _iter_necklaces(k, n)
+    return _iter_rename_canonical(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +905,7 @@ def _run_block(args: tuple, ckpt: _Checkpoint | None = None) -> tuple[dict, dict
     stream, cfg, n, parts, last, start, stop = args
     feeds = [(cid, parts[cid], _CHECK_DEFS[cid]) for cid in last]
     screen = any(cdef.primitive_only for _, _, cdef in feeds)
-    for w in islice(_level(stream, cfg, n), start, stop):
+    for w in islice(_level(stream, cfg.alphabet_size, n, cfg.canonicalize), start, stop):
         proper_power = screen and not is_primitive(w)  # one primitivity test per word
         for cid, part, cdef in feeds:
             if w <= (last[cid] or "") or (cdef.primitive_only and proper_power):
@@ -946,7 +937,7 @@ def _sweep_level(
     if cfg.jobs == 1:
         _run_block((stream, cfg, n, levels, last, 0, None), ckpt)
     else:
-        size = sum(1 for _ in _level(stream, cfg, n))
+        size = sum(1 for _ in _level(stream, cfg.alphabet_size, n, cfg.canonicalize))
         cuts = [r * size // cfg.jobs for r in range(cfg.jobs + 1)]
         fresh = {cid: CheckReport.for_config(cid, cfg) for cid in last}  # pickled per task
         tasks = [(stream, cfg, n, fresh, last, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -1134,7 +1125,7 @@ def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> Che
 
     if k**n <= budget:
         rep.stats["exhaustive"] = 1
-        for w in _iter_stream(k, n, True, necklace=True):
+        for w in _level("necklace", k, n, True):
             evaluations += 1
             consider(w, circular_square_count(w))
     else:

@@ -16,7 +16,6 @@ __all__ = [
     "CircularWord",
     "PrimitiveRoot",
     "validate_word",
-    "alphabet",
     "rotations",
     "canonical_rotation",
     "is_primitive",
@@ -43,11 +42,6 @@ def validate_word(w: str) -> str:
     if not w.isascii():
         raise InvalidWordError("words must be ASCII, one character per symbol")
     return w
-
-
-def alphabet(w: str) -> set[str]:
-    """The set of distinct symbols occurring in ``w``."""
-    return set(validate_word(w))
 
 
 def rotations(w: str) -> list[str]:

@@ -81,7 +81,9 @@ def brute_power_factors(w: str) -> set[str]:
 
 def naive_circuits(graph) -> set[tuple[str, ...]]:
     """All elementary circuits as edge tuples starting at their least vertex."""
-    succ = graph.successors()
+    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:  # sorted, so each successor list is sorted
+        succ[e[:-1]].append(e[1:])
     found: set[tuple[str, ...]] = set()
 
     def close(cycle: list[str]) -> tuple[str, ...]:
@@ -100,6 +102,17 @@ def naive_circuits(graph) -> set[tuple[str, ...]]:
     for s in sorted(graph.vertices):
         extend([s], s)
     return found
+
+
+def contains_class_circuit(w: str, p: str, l: int) -> bool:
+    """True when the order-``l`` subgraph of primitive ``p`` lies inside the factor
+    graph of ``w``: every circular factor of ``p`` of length ``l`` or ``l + 1``
+    is a factor of ``w``."""
+    ring = p * (l // len(p) + 2)
+    return all(
+        {ring[i : i + m] for i in range(len(p))} <= {w[i : i + m] for i in range(len(w) - m + 1)}
+        for m in (l, l + 1)
+    )
 
 
 def small_circuit_total(w: str) -> int:

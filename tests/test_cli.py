@@ -79,6 +79,13 @@ def test_rauzy_rejects_out_of_range_order(capsys):
     assert "out of range" in err
 
 
+def test_graph_commands_require_order(capsys):
+    for command in ("rauzy", "circuits"):
+        code, out, err = run_cli(capsys, command, "abc")
+        assert (code, out) == (2, ""), command
+        assert "--order" in err, command
+
+
 def test_circuits_text(capsys):
     code, out, _ = run_cli(capsys, "circuits", "abacabacabac", "--order", "1")
     assert code == 0

@@ -14,7 +14,6 @@ from circsq.verify import (
     SweepConfig,
     check_large_circuit,
     circular_square_count,
-    is_necklace_canonical,
     necklace_form,
     resolve_checks,
     run_check,
@@ -23,12 +22,13 @@ from circsq.verify import (
 )
 from circsq.cli import main
 from circsq.rauzy import DEFAULT_CIRCUIT_CAP
-from circsq.verify import _iter_nonprimitive, _iter_rename_canonical, _iter_stream, _level
+from circsq.verify import _iter_nonprimitive, _iter_rename_canonical, _level
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
 from conftest import (
     brute_circular_squares,
     brute_extremal,
+    contains_class_circuit,
     fraction_rank,
     naive_circuits,
     small_circuit_total,
@@ -71,7 +71,7 @@ def test_rename_canonical_enumeration_matches_filter():
 
 def test_canonical_enumeration_covers_all_orbits():
     for n in range(1, 7):
-        canon = {w for w in _iter_rename_canonical(3, n) if is_necklace_canonical(w)}
+        canon = {w for w in _iter_rename_canonical(3, n) if necklace_form(w) == w}
         assert {necklace_form(w) for w in words_over(3, n)} == canon
 
 
@@ -105,8 +105,8 @@ def test_necklace_stream_matches_the_filter_oracle():
     # the generated stream is the filtered one, in the filter's order
     for k, top in ((1, 9), (2, 9), (3, 9), (4, 8), (5, 8)):
         for n in range(1, top + 1):
-            oracle = [w for w in _iter_rename_canonical(k, n) if is_necklace_canonical(w)]
-            assert list(_iter_stream(k, n, True, True)) == oracle, (k, n)
+            oracle = [w for w in _iter_rename_canonical(k, n) if necklace_form(w) == w]
+            assert list(_level("necklace", k, n, True)) == oracle, (k, n)
 
 
 def test_nonprimitive_stream():
@@ -375,7 +375,6 @@ def test_class_reach_matches_contains_class_circuit_at_every_order():
     # the class circuit of p at an order o >= |p| lies in the graph of w
     # exactly when o + 1 <= reach; reach <= n rules out order n, which has
     # no graph
-    from circsq.rauzy import contains_class_circuit
     from circsq.verify import _class_reach
 
     for k, top in ((2, 9), (3, 6)):
@@ -405,7 +404,6 @@ def test_class_circuits_reports_unrealized_classes_order_by_order(monkeypatch):
     # a swept word's classes are always realized; fed classes that are not,
     # the reach must give the violations, realized and beyond_window counts
     # the plain per-order test gives
-    from circsq.rauzy import contains_class_circuit
     from circsq.verify import _eval_class_circuits
 
     def per_order(w, classes):
@@ -766,7 +764,7 @@ def test_job_ranges_are_contiguous_and_balanced(monkeypatch):
             assert pool.jobs == jobs and len(pool.maps) == 3 * n  # three streams
             for tasks in pool.maps:
                 stream, _, level_n = tasks[0][:3]
-                size = len(list(_level(stream, cfg, level_n)))
+                size = len(list(_level(stream, k, level_n, canonicalize)))
                 ranges = [t[5:] for t in tasks]
                 assert len(ranges) == jobs
                 assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
@@ -971,10 +969,20 @@ def test_benchmark_hooks_stay_public():
     # fan-out through the multiprocessing that verify binds
     import multiprocessing
 
-    for name in ("run_check", "run_suite", "circular_square_count", "is_necklace_canonical"):
+    for name in ("run_check", "run_suite", "circular_square_count"):
         assert name in verify.__all__, name
         assert getattr(verify, name).__module__ == "circsq.verify", name
     assert verify.multiprocessing is multiprocessing
+
+
+def test_all_lists_only_real_names():
+    # a name deleted from a module but left in __all__ fails only at import *
+    from circsq import rauzy, squares, words
+
+    for module in (words, squares, rauzy, verify):
+        names = module.__all__
+        assert len(set(names)) == len(names), module.__name__
+        assert [n for n in names if not hasattr(module, n)] == [], module.__name__
 
 
 def test_report_json_roundtrip():

@@ -5,7 +5,6 @@ import pytest
 from circsq.words import (
     CircularWord,
     InvalidWordError,
-    alphabet,
     canonical_rotation,
     circular_factors,
     factors,
@@ -144,10 +143,6 @@ def test_circular_factors_integer_multiple_gives_class_size():
     assert len(circular_factors("abab", 8)) == 2
 
 
-def test_alphabet():
-    assert alphabet("abacaba") == {"a", "b", "c"}
-
-
 def test_rename_by_first_occurrence():
     assert rename_by_first_occurrence("cab") == "abc"
     assert rename_by_first_occurrence("bbxb") == "aaba"
@@ -162,7 +157,6 @@ def test_rename_by_first_occurrence():
         canonical_rotation,
         is_primitive,
         primitive_root,
-        alphabet,
     ],
 )
 def test_empty_word_rejected(fn):
