@@ -27,14 +27,16 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 
 Sweeps enumerate canonical representatives: first-occurrence-renamed
 words for linear-word properties, and for circular ones the words least
-under rotation plus renaming, generated directly (FKM necklace generation
-restricted to renamed words, then a least-in-orbit test that renames only
-the rotations starting a run as long as the leading ``a`` run) instead of
-filtered out of the renamed words.  The graph checks (``circuit-rank``,
-``count-chain``, ``large-circuit``) read each order's factor graph as
-integer ids cut straight from the word and take its circuits, as edge-id
-lists, from the one circuit search in :mod:`circsq.rauzy`, which runs over
-the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
+under rotation plus renaming, generated directly instead of filtered out of
+the renamed words.  One loop runs the FKM necklace successor over renamed
+prenecklaces on integer letter ids; it drops every prefix that holds a run
+longer than the leading ``a`` run, since a rotation starting at that run
+renames below the word, and its least-in-orbit test, on the ids, renames
+only the rotations starting a run exactly as long as the leading one.  The
+graph checks (``circuit-rank``, ``count-chain``, ``large-circuit``) read
+each order's factor graph as integer ids cut straight from the word and
+take its circuits, as edge-id lists, from the one circuit search in
+:mod:`circsq.rauzy`, which runs over the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
 since every higher order is then a path, and ranks only each order's small
 circuits: a check that every circuit is an elementary closed walk stands in
 for ranking them all.  Those per-order facts are a pure function of the
@@ -72,6 +74,7 @@ from itertools import islice, product
 from string import ascii_lowercase
 from typing import Callable
 
+from . import rauzy
 from .rauzy import (
     _MAX_CODED_VERTICES,
     DEFAULT_CIRCUIT_CAP,
@@ -81,9 +84,7 @@ from .rauzy import (
     _index_graphs,
     _unpack,
     circuit_root,
-    decompose_split,
     independent_rank,
-    split_point,
 )
 from .squares import (
     _circular_square_count,
@@ -166,45 +167,39 @@ def _iter_rename_canonical(k: int, n: int):
     yield from rec(0, 0)
 
 
-def _is_orbit_least(w: str) -> bool:
-    """True when the renamed necklace ``w`` is its :func:`necklace_form`.
+_ID_LETTERS = bytes.maketrans(bytes(range(26)), ascii_lowercase.encode())  # id -> letter
 
-    Precondition: ``w`` comes straight from FKM, so it is first-occurrence
-    renamed and its own least plain rotation.  The orbit minimum is the
-    renamed form of some rotation, and a rotation starting with the letter
-    ``x`` renames to ``a^r`` and then ``b``, where ``r`` is the length of
-    the ``x`` run it starts with.  Let ``L`` be the length of ``w``'s
-    leading ``a`` run.  A rotation that starts inside a run, or at a run
-    shorter than ``L``, has ``b`` where ``w`` has ``a``, so it renames
-    above ``w``; a run longer than ``L`` renames below it at once.  Only
-    the rotations that start a run of exactly ``L`` letters are renamed,
-    lazily, up to their first difference with ``w``.  No run wraps into
-    the leading one: a non-constant necklace does not end in ``a``.
+
+def _is_orbit_least(ids: bytearray, run: list[int], lead: int) -> bool:
+    """True when the renamed necklace with letter ids ``ids`` is its :func:`necklace_form`.
+
+    Precondition: the word comes straight from :func:`_iter_necklaces`, so
+    it is first-occurrence renamed, its own least plain rotation, and holds
+    no run longer than ``lead``, the length of its leading ``a`` run;
+    ``run[j]`` is the length of the run that ends at ``j``.  The orbit
+    minimum is the renamed form of some rotation, and a rotation starting
+    with the letter ``x`` renames to ``a^r`` and then ``b``, where ``r`` is
+    the length of the ``x`` run it starts with.  A rotation that starts
+    inside a run, or at a run shorter than ``lead``, has ``b`` where the
+    word has ``a``, so it renames above the word.  Only the rotations that
+    start a run of exactly ``lead`` letters are renamed, lazily, up to their
+    first difference with the word; their first ``lead + 1`` letters already
+    agree.  Such a run ends at ``e`` with ``run[e] == lead``, and none wraps
+    into the leading one: a non-constant necklace does not end in ``a``.
     """
-    n = len(w)
-    lead = n - len(w.lstrip("a"))
-    if lead == n:
-        return True  # a constant word
-    starts = []
-    i = lead
-    while i < n:
-        j = i + 1
-        while j < n and w[j] == w[i]:
-            j += 1
-        if j - i > lead:
-            return False
-        if j - i == lead:
-            starts.append(i)
-        i = j
-    for i in starts:
-        names: dict[str, str] = {}
-        for j in range(n):
-            c = w[i + j - n]  # w[(i + j) % n]
+    n = len(ids)
+    for e in range(2 * lead - 1, n):
+        if run[e] != lead:
+            continue
+        s = e + 1 - lead
+        names = {ids[s]: 0, ids[e + 1 - n]: 1}
+        for j in range(lead + 1, n):
+            c = ids[s + j - n]  # ids[(s + j) % n]
             x = names.get(c)
             if x is None:
-                x = names[c] = ascii_lowercase[len(names)]
-            if x != w[j]:
-                if x < w[j]:
+                x = names[c] = len(names)
+            if x != ids[j]:
+                if x < ids[j]:
                     return False
                 break
     return True
@@ -213,31 +208,55 @@ def _is_orbit_least(w: str) -> bool:
 def _iter_necklaces(k: int, n: int):
     """Renamed words of length ``n`` over ``k`` letters that are their own :func:`necklace_form`.
 
-    FKM generation (Ruskey, Savage and Wang, "Generating necklaces", 1992)
-    of the prenecklaces, in lex order, where each position branches only up
-    to the first unused letter, so every word is first-occurrence renamed.
-    A word is kept when the length ``p`` of its longest Lyndon prefix
-    divides ``n`` (it is a necklace) and no rotation of it renames to a
-    smaller word (unlabeled necklaces, as in Cattell, Ruskey, Sawada, Serra
-    and Miers, 2000); :func:`_is_orbit_least` renames only the rotations
-    that start a run as long as the leading ``a`` run.
+    One loop, in one generator frame, over the FKM successor (Ruskey,
+    Savage and Wang, "Generating necklaces", 1992) restricted to
+    first-occurrence-renamed prenecklaces, in lex order.  It keeps the
+    letter ids ``a``, the bound ``top[j] = min(max(a[:j]) + 2, k)`` on the
+    letter at ``j``, and ``p``, the length of the longest Lyndon prefix.
+    Each step increments the last letter ``a[i]`` (``i >= 1``) that is still
+    below its bound, sets ``p = i + 1`` and refills the rest periodically,
+    ``a[j] = a[j - p]``.  A word is a necklace candidate when ``p`` divides
+    ``n``, and is kept when no rotation of it renames to a smaller word
+    (unlabeled necklaces, as in Cattell, Ruskey, Sawada, Serra and Miers,
+    2000), which :func:`_is_orbit_least` decides on the ids.
+
+    Run prune: ``run[j]`` is the length of the run ending at ``j`` and
+    ``lead`` the index of the first non-``a`` letter, which only decreases.
+    A prefix holding a run longer than ``lead`` is dropped with every word
+    extending it, since the rotation starting at that run renames below the
+    word, and the successor search resumes at that run's end.  Only the
+    incremented letter can close such a run: the refill copies the runs of
+    the Lyndon prefix ``a[:p]``, ``run[j] = run[j - p]``, since ``a[:p]``
+    ends in a non-``a`` letter and so cannot run on into the copy's leading
+    ``a``.  The word string is joined only for kept words.
     """
-    ids = [0] * n  # a renamed word starts with a
-
-    def rec(t: int, p: int, used: int):
-        if t == n:
-            if n % p == 0:
-                w = "".join([ascii_lowercase[c] for c in ids])
-                if _is_orbit_least(w):
-                    yield w
-            return
-        # repeating the Lyndon prefix keeps p; a larger letter makes ids[: t + 1] Lyndon
-        low = ids[t - p]
-        for c in range(low, min(used + 1, k)):
-            ids[t] = c
-            yield from rec(t + 1, p if c == low else t + 1, max(used, c + 1))
-
-    yield from rec(1, 1, 1)
+    a = bytearray(n)  # letter ids; a renamed word starts with a
+    run = list(range(1, n + 1))
+    top = [2] + [min(2, k)] * (n - 1)  # top[0] = 2 stops the search at i = 0
+    lead = n
+    p = 1
+    while True:
+        if n % p == 0 and _is_orbit_least(a, run, lead):
+            yield a.translate(_ID_LETTERS).decode()
+        i = n - 1
+        while True:
+            while a[i] + 1 >= top[i]:
+                i -= 1
+            if i == 0:
+                return
+            c = a[i] = a[i] + 1
+            r = run[i] = run[i - 1] + 1 if a[i - 1] == c else 1
+            if i < lead:
+                lead = i
+            if r <= lead:
+                break
+        p = i + 1
+        if p < n:
+            t = top[i] if c + 1 < top[i] else min(c + 2, k)
+            for j in range(p, n):
+                a[j] = a[j - p]
+                run[j] = run[j - p]
+                top[j] = t
 
 
 def circular_square_count(w: str) -> int:
@@ -566,7 +585,7 @@ def _eval_class_parity(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
 
 
 def _eval_splits(p: str, cfg: SweepConfig, rep: CheckReport) -> None:
-    m = split_point(p)
+    m = rauzy._split_point(p)  # a primitive sweep word: no revalidation
     if m is None:
         rep.count("never_splits")
         return
@@ -574,7 +593,7 @@ def _eval_splits(p: str, cfg: SweepConfig, rep: CheckReport) -> None:
     if m > l - 2:
         rep.violations.append((p, f"splits at {m}, within one of the root length {l}"))
         return
-    parts = decompose_split(p, m)
+    parts = rauzy._split_circuits(p, m)
     lengths = [c.length for c in parts]
     if sum(lengths) != l:
         rep.violations.append((p, f"split lengths {lengths} do not sum to {l}"))
@@ -599,22 +618,24 @@ def _classify_case(w: str) -> tuple[str, tuple[int, int]]:
 
     Returns a label and ``(a, b)`` such that the word must satisfy
     ``a * Sq <= b * n``.  Ties on the n/2 and n/4 thresholds go to the
-    stricter bound.
+    stricter bound.  ``w`` is a primitive sweep word, and so is each circuit
+    root, so split points and circuits come straight from the memos of
+    :mod:`circsq.rauzy`, looked up there per call, without revalidation.
     """
     n = len(w)
-    m = split_point(w)
+    m = rauzy._split_point(w)
     if m is None or 2 * m <= n:
         return "case1", (2, 3)
-    parts = decompose_split(w, m)
+    parts = rauzy._split_circuits(w, m)
     if len(parts) > 2:
         return _case_by_root(min(c.length for c in parts), n)
     parts = sorted(parts, key=lambda c: (-c.length, c.edges))
     q1 = circuit_root(parts[0])
     q2_len = parts[1].length
-    m1 = split_point(q1)
+    m1 = rauzy._split_point(q1)
     if m1 is None or 2 * m1 <= n:
         return "case1", (2, 3)
-    lengths = [c.length for c in decompose_split(q1, m1)] + [q2_len]
+    lengths = [c.length for c in rauzy._split_circuits(q1, m1)] + [q2_len]
     return _case_by_root(min(lengths), n)
 
 
@@ -969,14 +990,15 @@ def _canonicalization_mismatches(cfg: SweepConfig) -> list[tuple[str, str]]:
     them once for all its bound checks.
     """
     rng = random.Random(cfg.seed ^ 0x5EED)
+    choice = rng.choice
     letters = ascii_lowercase[: cfg.alphabet_size]
     mismatches = []
     for _ in range(_SPOT_CHECK_PAIRS):
         n = rng.randint(1, cfg.max_length)
-        w = "".join(rng.choice(letters) for _ in range(n))
+        w = "".join([choice(letters) for _ in range(n)])
         rotated = w[n // 2 :] + w[: n // 2]
-        table = dict(zip(letters, rng.sample(letters, len(letters))))
-        transformed = "".join(table[ch] for ch in rotated)
+        table = str.maketrans(letters, "".join(rng.sample(letters, len(letters))))
+        transformed = rotated.translate(table)
         if circular_square_count(w) != circular_square_count(transformed):
             mismatches.append((w, f"count changed under rotation/renaming to {transformed}"))
     return mismatches

@@ -76,37 +76,78 @@ def test_canonical_enumeration_covers_all_orbits():
 
 
 def test_orbit_test_matches_all_rotations(monkeypatch):
-    # every FKM candidate (a renamed necklace, before the orbit test) gets
-    # the verdict of renaming all its rotations
+    # every candidate the loop hands to the orbit test (a renamed necklace
+    # with no run longer than its leading a run) comes with its own run
+    # lengths and lead, and gets the verdict of renaming all its rotations
     least = verify._is_orbit_least
     candidates = []
-    monkeypatch.setattr(verify, "_is_orbit_least", lambda w: candidates.append(w) or True)
+
+    def recorded(ids, run, lead):
+        verdict = least(ids, run, lead)
+        candidates.append((ids.translate(verify._ID_LETTERS).decode(), list(run), lead, verdict))
+        return verdict
+
+    monkeypatch.setattr(verify, "_is_orbit_least", recorded)
     for k, top in ((1, 6), (2, 16), (3, 11), (4, 9), (5, 8)):
         for n in range(1, top + 1):
             list(verify._iter_necklaces(k, n))
+    verdicts = {}
+    for w, run, lead, verdict in candidates:
+        assert run == [j + 1 - len(w[: j + 1].rstrip(c)) for j, c in enumerate(w)], w
+        assert lead == len(w) - len(w.lstrip("a")) and max(run) <= lead, w
+        expected = all(
+            rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, len(w))
+        )
+        assert verdict == expected, w
+        verdicts[w] = verdict
+    # 50 of these are constant words
+    assert len(candidates) == 16_420
+    assert sum(verdict for *_, verdict in candidates) == 11_256
     cases = {
         "a": True,
         "aaaa": True,  # constant
-        "aabbb": False,  # a b run longer than the leading a run
         "abab": True,  # here and below every rotation starts a run
         "abac": True,
         "abcb": False,  # bcba renames to abac
         "abacbc": True,
     }
-    assert len(candidates) > 35_000
-    for w in candidates + list(cases):
-        expected = all(
-            rename_by_first_occurrence(w[i:] + w[:i]) >= w for i in range(1, len(w))
-        )
-        assert least(w) == expected == cases.get(w, expected), w
+    assert {w: verdicts[w] for w in cases} == cases
+    # a b run longer than the leading a run: pruned before the orbit test
+    assert "aabbb" not in verdicts and "aabbb" not in _level("necklace", 2, 5, True)
 
 
 def test_necklace_stream_matches_the_filter_oracle():
-    # the generated stream is the filtered one, in the filter's order
-    for k, top in ((1, 9), (2, 9), (3, 9), (4, 8), (5, 8)):
+    # the generated stream is the filtered one, in the filter's order; a word
+    # least under rotation plus renaming is least under rotation alone, so
+    # only those words go on to the oracle
+    for k, top in ((1, 9), (2, 16), (3, 11), (4, 9), (5, 8)):
         for n in range(1, top + 1):
-            oracle = [w for w in _iter_rename_canonical(k, n) if necklace_form(w) == w]
+            oracle = [
+                w
+                for w in _iter_rename_canonical(k, n)
+                if min(rotations(w)) == w and necklace_form(w) == w
+            ]
             assert list(_level("necklace", k, n, True)) == oracle, (k, n)
+
+
+def test_necklace_level_sizes_are_pinned():
+    binary = [sum(1 for _ in _level("necklace", 2, n, True)) for n in range(1, 23)]
+    # OEIS A000013: binary necklaces up to swapping the letters
+    assert binary == [
+        1, 2, 2, 4, 4, 8, 10, 20, 30, 56, 94, 180, 316, 596, 1096, 2068, 3856,
+        7316, 13798, 26272, 49940, 95420,
+    ]
+    ternary = [sum(1 for _ in _level("necklace", 3, n, True)) for n in range(1, 15)]
+    assert ternary == [
+        1, 2, 3, 6, 9, 26, 53, 146, 369, 1002, 2685, 7434, 20441, 57046,
+    ]
+
+
+def test_necklace_stream_increases_through_its_own_forms():
+    for k, n in ((2, 18), (3, 12)):
+        words = list(_level("necklace", k, n, True))
+        assert all(u < v for u, v in zip(words, words[1:])), (k, n)
+        assert all(necklace_form(w) == w for w in words), (k, n)
 
 
 def test_nonprimitive_stream():
@@ -519,27 +560,33 @@ def test_case_classification_matches_the_window_set_split_point(monkeypatch):
     words = [w for n in range(1, 15) for w in _iter_necklaces(2, n) if is_primitive(w)]
     expected = [_classify_case(w) for w in words]
     rauzy._split_circuits.cache_clear()
-    monkeypatch.setattr(rauzy, "_split_point", window_split_point)
+    asked = set()
+    monkeypatch.setattr(rauzy, "_split_point", lambda p: asked.add(p) or window_split_point(p))
     assert [_classify_case(w) for w in words] == expected
+    assert asked.issuperset(words)  # the classification reads the patched route
     rauzy._split_circuits.cache_clear()
 
 
-def test_split_checks_share_one_split_memo():
-    # splits and case-bounds read one word's split point and circuits once;
-    # decompose_split's own check of the split point reads the memo
+def test_split_checks_share_one_split_memo(monkeypatch):
+    # splits and case-bounds read one word's split point and circuits once,
+    # straight from the memos: the sweeps skip split_point's validation
     from circsq import rauzy
     from circsq.verify import _eval_case_bounds, _eval_splits
 
+    def revalidated(p):
+        raise AssertionError(f"a sweep revalidated {p!r}")
+
+    monkeypatch.setattr(rauzy, "is_primitive", revalidated)
     point, circuits = rauzy._split_point, rauzy._split_circuits
     point.cache_clear()
     circuits.cache_clear()
     p = "aabaabaabab"  # splits at 9 into circuits of 3 and 8, then at 6 on the 8-root
     _evaluate(_eval_splits, p)
-    assert (point.cache_info().hits, point.cache_info().misses) == (1, 1)
+    assert (point.cache_info().hits, point.cache_info().misses) == (0, 1)
     assert (circuits.cache_info().hits, circuits.cache_info().misses) == (0, 1)
     _evaluate(_eval_case_bounds, p)
-    # p read back twice; the 8-root computed once and read back by its decomposition
-    assert (point.cache_info().hits, point.cache_info().misses) == (4, 2)
+    # p's point and circuits read back once each; the 8-root's computed once
+    assert (point.cache_info().hits, point.cache_info().misses) == (1, 2)
     assert (circuits.cache_info().hits, circuits.cache_info().misses) == (1, 2)
 
 
@@ -796,6 +843,31 @@ def test_spot_check_runs_once_per_suite(monkeypatch):
     for rep in both.reports:
         assert rep.stats["canonical_pairs_checked"] == 1000
         assert rep.to_dict() == lone[rep.check_id][0].reports[0].to_dict()
+
+
+def test_spot_check_draws_are_pinned(monkeypatch):
+    # the spot check draws its pairs in one fixed order: per pair the length,
+    # then each letter, then the renaming permutation
+    rng = random.Random(0 ^ 0x5EED)
+    pairs = []
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        w = "".join(rng.choice("abc") for _ in range(n))
+        rotated = w[n // 2 :] + w[: n // 2]
+        renamed = rng.sample("abc", 3)
+        pairs.append((w, "".join(renamed["abc".index(ch)] for ch in rotated)))
+    seen = []
+    count = verify.circular_square_count
+    monkeypatch.setattr(verify, "circular_square_count", lambda w: seen.append(w) or count(w))
+    cfg = SweepConfig(3, 6, frozenset({"bound-5-3"}), seed=0)
+    assert verify._canonicalization_mismatches(cfg) == []
+    assert seen == [w for pair in pairs for w in pair]
+    # a count that changes under rotation is reported on exactly its pairs
+    monkeypatch.setattr(verify, "circular_square_count", lambda w: ord(w[0]))
+    expected = [
+        (w, f"count changed under rotation/renaming to {t}") for w, t in pairs if w[0] != t[0]
+    ]
+    assert expected and verify._canonicalization_mismatches(cfg) == expected
 
 
 def test_checkpoint_resume_is_invisible(tmp_path):
