@@ -24,7 +24,6 @@ from typing import Iterator
 
 from .words import (
     CircularWord,
-    _least_rotation_index,
     canonical_rotation,
     is_primitive,
     primitive_root,
@@ -191,8 +190,10 @@ def _class_tops(w: str) -> tuple[tuple[str, int, int, dict[str, int]], ...]:
     position, restarting ``p`` past each stretch, hits every such stretch.  A
     run's ``p``-prefix is primitive unless it has a shorter period, and then
     the same interval was a run at that period already, so a repeated
-    interval is dropped.  The conjugate at offset ``i`` of a run's first
-    ``p`` reaches exponent ``(b + p - i) // p`` in it.  ``w`` must already be
+    interval is dropped.  A run is at least ``2p`` long, so its first ``p``
+    windows are every rotation of its ``p``-prefix, and the least of them is
+    the class root.  The conjugate at offset ``i`` of a run's first ``p``
+    reaches exponent ``(b + p - i) // p`` in it.  ``w`` must already be
     validated.
     """
     n = len(w)
@@ -216,10 +217,8 @@ def _class_tops(w: str) -> tuple[tuple[str, int, int, dict[str, int]], ...]:
             if b - a < p or (a, e) in seen:
                 continue
             seen.add((a, e))
-            root = w[a : a + p]
-            if p > 1:  # a one-letter root is its own least rotation
-                r = _least_rotation_index(root)
-                root = root[r:] + root[:r]
+            # a one-letter root is its own least rotation
+            root = w[a] if p == 1 else min(w[i : i + p] for i in range(a, a + p))
             tops = groups.setdefault(root, {})
             for i in range(a, min(a + p, b - p + 1)):
                 q = w[i : i + p]

@@ -43,6 +43,9 @@ for ranking them all.  Those per-order facts are a pure function of the
 order's graph, which comes as a hashable code string, so ``circuit-rank``
 memoizes them by (order, graph, cap) in a bounded LRU memo; renamed words
 that share a prefix share their low-order graphs and read the facts back.
+``count-chain`` reads each order's sorted circuit lengths from a second memo
+of the same size, keyed by (graph, cap) alone, since the search reads
+nothing but the graph.
 The class checks (``class-parity``, ``class-circuits``, ``count-chain``)
 read each power class as its conjugates' top exponents, from one scan of
 the word's periodic runs, and count its members from them.  The bound checks
@@ -67,6 +70,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -452,13 +456,17 @@ def _is_elementary_closed_walk(c: list[int], head: list[int], out: list[list[int
     return len(set(heads)) == len(c) and all(e in out[v] for v, e in zip(heads, c[1:] + c[:1]))
 
 
-# Distinct (order, graph, cap) keys whose circuit facts stay memoized: the
-# renamed words of a level share prefixes, so most of their low-order graphs
-# repeat (2,570 distinct among 17,270 circuit-bearing orders at (2,12)).
-_ORDER_FACTS_MEMO = 1024
+# Distinct keys each graph memo keeps.  The words of a level share most of
+# their graphs: circuit-rank's renamed words share prefixes, so most of their
+# low-order graphs repeat (2,570 distinct (order, graph, cap) keys among
+# 17,270 circuit-bearing orders at (2,12)), and count-chain's doubled
+# necklaces hold few distinct graphs ((graph, cap) keys: 326 among 2,035
+# circuit-bearing orders at (2,11), 580 among 4,075 at (2,12), 552 among
+# 4,975 at (3,9)).
+_GRAPH_MEMO = 1024
 
 
-@lru_cache(maxsize=_ORDER_FACTS_MEMO)
+@lru_cache(maxsize=_GRAPH_MEMO)
 def _order_facts(order: int, size: int, codes: str, cap: int) -> tuple[int, bool, bool] | None:
     """``circuit-rank``'s facts about one order's integer factor graph, or ``None`` past ``cap``.
 
@@ -480,6 +488,23 @@ def _order_facts(order: int, size: int, codes: str, cap: int) -> tuple[int, bool
     # space, so this guard bounds the rank of all circuits by chi.
     closed = all(_is_elementary_closed_walk(c, head, edges_out) for c in circuits)
     return len(small), independent, closed
+
+
+@lru_cache(maxsize=_GRAPH_MEMO)
+def _circuit_lengths(size: int, codes: str, cap: int) -> tuple[int, ...] | None:
+    """Sorted circuit lengths of an integer factor graph, or ``None`` past ``cap``.
+
+    The graph is ``(size, codes)`` as :func:`circsq.rauzy._index_graphs`
+    yields it.  The search reads nothing but the graph, so the order and
+    the word it was cut from stay out of the key: every graph with the same
+    code string reads its lengths back from the memo.
+    """
+    head, edges_out = _unpack(size, codes)
+    try:
+        circuits = _circuit_edges(head, edges_out, size, cap)
+    except CircuitCapExceeded:
+        return None
+    return tuple(sorted(len(c) for c in circuits))
 
 
 def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
@@ -666,17 +691,14 @@ def _eval_count_chain(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     small_count = 0
     indep_total = 0
     for order, size, codes in _index_graphs(doubled, range(1, n + 1)):
-        chi = len(codes) - size + 1
-        indep_total += chi
-        if chi == 0:
-            continue  # a tree: no circuit
-        head, edges_out = _unpack(size, codes)
-        try:
-            circuits = _circuit_edges(head, edges_out, size, cfg.circuit_cap)
-        except CircuitCapExceeded:
+        # never a tree: w + w walks back to its first vertex at position n
+        indep_total += len(codes) - size + 1
+        lengths = _circuit_lengths(size, codes, cfg.circuit_cap)
+        if lengths is None:
             rep.skipped.append(w)
             return
-        small_count += sum(1 for c in circuits if len(c) <= order and 2 * len(c) < n)
+        # small: no longer than the order, and shorter than half the word
+        small_count += bisect_right(lengths, min(order, (n - 1) // 2))
 
     if power_small != realized:
         rep.violations.append(

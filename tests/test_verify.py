@@ -275,7 +275,7 @@ def test_count_chain_example_aab():
 
 
 def test_graph_evaluators_match_a_search_at_every_order():
-    # the sweeps skip the search at tree orders (chi = 0); the public route
+    # circuit-rank stops at its first tree order (chi = 0); the public route
     # below shares the search but runs it at every order and takes chi from
     # the connectivity check
     from circsq.rauzy import (
@@ -398,6 +398,50 @@ def test_circuit_rank_memo_matches_cold_runs():
     for cfg in (tight, loose, tight):
         skipped = [w for w in level if _evaluate(_eval_circuit_rank, w, cfg).skipped]
         assert skipped == expected[cfg.circuit_cap], cfg.circuit_cap
+
+
+def _primitive_necklaces(k, top):
+    return [w for n in range(1, top + 1) for w in _level("necklace", k, n, True) if is_primitive(w)]
+
+
+def test_count_chain_memo_matches_cold_runs():
+    # circuit lengths read back from the memo, whatever order and word their
+    # graph was cut from, give each word the report a search from scratch
+    # gives it
+    from circsq.verify import _eval_count_chain
+
+    def cold(w, cfg):
+        verify._circuit_lengths.cache_clear()
+        return _evaluate(_eval_count_chain, w, cfg)
+
+    cfg = SweepConfig()
+    words = _primitive_necklaces(2, 11) + _primitive_necklaces(3, 7)
+    verify._circuit_lengths.cache_clear()
+    warm = [_evaluate(_eval_count_chain, w, cfg).to_dict() for w in words]
+    for w, report in zip(words, warm):
+        assert cold(w, cfg).to_dict() == report, w
+    # the cap is part of the key: lengths found under one cap never answer
+    # another, in either order
+    level = _primitive_necklaces(2, 8)
+    tight, loose = SweepConfig(circuit_cap=1), SweepConfig()
+    expected = {
+        cfg.circuit_cap: [w for w in level if cold(w, cfg).skipped] for cfg in (tight, loose)
+    }
+    assert "aab" in expected[1] and not expected[DEFAULT_CIRCUIT_CAP]
+    verify._circuit_lengths.cache_clear()
+    for cfg in (tight, loose, tight):
+        skipped = [w for w in level if _evaluate(_eval_count_chain, w, cfg).skipped]
+        assert skipped == expected[cfg.circuit_cap], cfg.circuit_cap
+
+
+def test_count_chain_memo_traffic_is_pinned():
+    # a cold (2,11) sweep searches each of its 326 distinct graphs once and
+    # reads the other 1,709 circuit-bearing orders back; a key that also held
+    # the order or the word length would miss more often
+    verify._circuit_lengths.cache_clear()
+    assert run_check("count-chain", _cfg("count-chain", 2, 11)).passed
+    info = verify._circuit_lengths.cache_info()
+    assert (info.misses, info.hits) == (326, 1709)
 
 
 def test_class_circuits_examples_direct():
