@@ -23,17 +23,19 @@ over the branch-vertex skeleton, where each chain of in = out = 1 vertices
 is one super-edge, capped, with circuits as lists of edge ids.
 :func:`enumerate_elementary_circuits` indexes a public graph, runs the same
 search and wraps each found edge-id list as a :class:`Circuit`.  The module
-also computes traversal vectors and their exact rank over the rationals,
-and analyses how the circuit family of a primitive word splits at low
-orders.
+also computes traversal vectors and the exact rational rank of every
+prefix of a list of them in one elimination routine, ``_prefix_ranks``
+(:func:`independent_rank` is its last value), and analyses how the circuit
+family of a primitive word splits at low orders.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .words import canonical_rotation, is_primitive, validate_word
 
@@ -366,31 +368,39 @@ def vector_cycle(c: Circuit, g: RauzyGraph) -> tuple[int, ...]:
 
 
 def independent_rank(vectors: list[tuple[int, ...]]) -> int:
-    """Rank over the rationals, via fraction-free integer elimination."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return 0
-    ncols = len(vecs[0])
-    if any(len(v) != ncols for v in vecs):
+    """Rank over the rationals: the last of :func:`_prefix_ranks`."""
+    dims = {len(v) for v in vectors}
+    if len(dims) > 1:
         raise ValueError("vectors must all have the same dimension")
-    rank = 0
-    denom = 1
-    for col in range(ncols):
-        if rank == len(vecs):
-            break
-        pivot = next((r for r in range(rank, len(vecs)) if vecs[r][col]), None)
-        if pivot is None:
-            continue
-        vecs[rank], vecs[pivot] = vecs[pivot], vecs[rank]
-        pv = vecs[rank][col]
-        for r in range(rank + 1, len(vecs)):
-            f = vecs[r][col]
-            for c2 in range(col + 1, ncols):
-                vecs[r][c2] = (vecs[r][c2] * pv - f * vecs[rank][c2]) // denom
-            vecs[r][col] = 0
-        denom = pv
-        rank += 1
-    return rank
+    return _prefix_ranks(vectors, min(dims, default=0))[-1]
+
+
+def _prefix_ranks(rows: Sequence[Sequence[int]], bound: int) -> tuple[int, ...]:
+    """``ranks[j]``, the rational rank of ``rows[:j]``, for ``j = 0 .. len(rows)``.
+
+    Exact and incremental: each new row is reduced against the integer row
+    echelon form of the rows that raised the rank, pivot by pivot in
+    ascending column order; what is left, if not zero, leads at a new pivot
+    column and is kept divided by its gcd.  Once the rank reaches ``bound``,
+    which must bound the rank of all ``rows``, the elimination stops.
+    """
+    ranks = [0]
+    pivots: dict[int, Sequence[int]] = {}
+    for r in rows:
+        if len(pivots) < bound:
+            for c in sorted(pivots):
+                f = r[c]
+                if f:
+                    p = pivots[c]
+                    pv = p[c]
+                    r = [pv * x - f * y for x, y in zip(r, p)]
+            for c, x in enumerate(r):
+                if x:  # what is left leads at c, a column without a pivot
+                    g = gcd(*r)
+                    pivots[c] = r if g == 1 else [v // g for v in r]
+                    break
+        ranks.append(len(pivots))
+    return tuple(ranks)
 
 
 def split_point(p: str) -> int | None:

@@ -33,19 +33,16 @@ prenecklaces on integer letter ids; it drops every prefix that holds a run
 longer than the leading ``a`` run, since a rotation starting at that run
 renames below the word, and its least-in-orbit test, on the ids, renames
 only the rotations starting a run exactly as long as the leading one.  The
-graph checks (``circuit-rank``, ``count-chain``, ``large-circuit``) read
-each order's factor graph as integer ids cut straight from the word and
-take its circuits, as edge-id lists, from the one circuit search in
-:mod:`circsq.rauzy`, which runs over the branch-vertex skeleton; ``circuit-rank`` stops at its first tree order,
-since every higher order is then a path, and ranks only each order's small
-circuits: a check that every circuit is an elementary closed walk stands in
-for ranking them all.  Those per-order facts are a pure function of the
-order's graph, which comes as a hashable code string, so ``circuit-rank``
-memoizes them by (order, graph, cap) in a bounded LRU memo; renamed words
-that share a prefix share their low-order graphs and read the facts back.
-``count-chain`` reads each order's sorted circuit lengths from a second memo
-of the same size, keyed by (graph, cap) alone, since the search reads
-nothing but the graph.
+graph checks (``circuit-rank``, ``count-chain``, ``large-circuit``) cut each
+order's factor graph as integer ids straight from the word and read its
+facts from one bounded LRU memo keyed by the graph's code string and the
+circuit cap, since the search reads nothing but the graph: the sorted
+circuit lengths from the one circuit search in :mod:`circsq.rauzy`, the
+exact rank of each prefix of the circuits so sorted, and whether every
+circuit is an elementary closed walk, a guard that bounds their rank by the
+cycle space's dimension and stops the elimination there.  Each check reads
+its small circuits as a prefix of the sorted lengths.  ``circuit-rank``
+stops at its first tree order, since every higher order is then a path.
 The class checks (``class-parity``, ``class-circuits``, ``count-chain``)
 read each power class as its conjugates' top exponents, from one scan of
 the word's periodic runs, and count its members from them.  The bound checks
@@ -86,9 +83,9 @@ from .rauzy import (
     _circuit_edges,
     _edge_vectors,
     _index_graphs,
+    _prefix_ranks,
     _unpack,
     circuit_root,
-    independent_rank,
 )
 from .squares import (
     _circular_square_count,
@@ -450,61 +447,46 @@ def _eval_bound_nonprimitive(w: str, cfg: SweepConfig, rep: CheckReport) -> None
         rep.violations.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
 
 
-def _is_elementary_closed_walk(c: list[int], head: list[int], out: list[list[int]]) -> bool:
+def _is_elementary_closed_walk(c: list[int], head: list[int], tail: list[int]) -> bool:
     """True when edge ids ``c`` visit no vertex twice and each leaves the previous one's head."""
     heads = [head[e] for e in c]
-    return len(set(heads)) == len(c) and all(e in out[v] for v, e in zip(heads, c[1:] + c[:1]))
+    return len(set(heads)) == len(c) and [tail[e] for e in c] == heads[-1:] + heads[:-1]
 
 
-# Distinct keys each graph memo keeps.  The words of a level share most of
-# their graphs: circuit-rank's renamed words share prefixes, so most of their
-# low-order graphs repeat (2,570 distinct (order, graph, cap) keys among
-# 17,270 circuit-bearing orders at (2,12)), and count-chain's doubled
-# necklaces hold few distinct graphs ((graph, cap) keys: 326 among 2,035
-# circuit-bearing orders at (2,11), 580 among 4,075 at (2,12), 552 among
-# 4,975 at (3,9)).
+# Distinct graphs the memo keeps, one key space for every graph check.  The
+# words of a level share most of their graphs: a cold circuit-rank sweep at
+# (3,8) misses 664 of 3,740 lookups, and count-chain's doubled necklaces hold
+# 326 graphs among 2,035 circuit-bearing orders at (2,11), 580 among 4,075 at
+# (2,12) and 552 among 4,975 at (3,9).
 _GRAPH_MEMO = 1024
 
 
 @lru_cache(maxsize=_GRAPH_MEMO)
-def _order_facts(order: int, size: int, codes: str, cap: int) -> tuple[int, bool, bool] | None:
-    """``circuit-rank``'s facts about one order's integer factor graph, or ``None`` past ``cap``.
+def _graph_facts(
+    size: int, codes: str, cap: int
+) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
+    """``(lengths, ranks, closed)`` of an integer factor graph, or ``None`` past ``cap``.
 
     The graph is ``(size, codes)`` as :func:`circsq.rauzy._index_graphs`
-    yields it; the facts are the number of small circuits (length at most
-    ``order``), whether they are independent, and whether every circuit is
-    an elementary closed walk.  They are a pure function of the key, so every
-    word whose order-``order`` graph has the same code string reads them back
-    from the memo instead of rerunning the search, the rank and the guard.
+    yields it; ``lengths`` are its circuit lengths, sorted, ``ranks[j]`` the
+    rational rank of the ``j`` shortest circuits and ``closed`` whether every
+    circuit is an elementary closed walk.  The key holds neither the order
+    nor the word, so every check reads back any graph already searched.
     """
     head, edges_out = _unpack(size, codes)
     try:
         circuits = _circuit_edges(head, edges_out, size, cap)
     except CircuitCapExceeded:
         return None
-    small = [c for c in circuits if len(c) <= order]
-    independent = not small or independent_rank(_edge_vectors(small, len(head))) == len(small)
-    # An elementary closed walk lies in the graph's chi-dimensional cycle
-    # space, so this guard bounds the rank of all circuits by chi.
-    closed = all(_is_elementary_closed_walk(c, head, edges_out) for c in circuits)
-    return len(small), independent, closed
-
-
-@lru_cache(maxsize=_GRAPH_MEMO)
-def _circuit_lengths(size: int, codes: str, cap: int) -> tuple[int, ...] | None:
-    """Sorted circuit lengths of an integer factor graph, or ``None`` past ``cap``.
-
-    The graph is ``(size, codes)`` as :func:`circsq.rauzy._index_graphs`
-    yields it.  The search reads nothing but the graph, so the order and
-    the word it was cut from stay out of the key: every graph with the same
-    code string reads its lengths back from the memo.
-    """
-    head, edges_out = _unpack(size, codes)
-    try:
-        circuits = _circuit_edges(head, edges_out, size, cap)
-    except CircuitCapExceeded:
-        return None
-    return tuple(sorted(len(c) for c in circuits))
+    circuits.sort(key=len)
+    tail = [code // size for code in map(ord, codes)]
+    closed = all(_is_elementary_closed_walk(c, head, tail) for c in circuits)
+    # An elementary closed walk lies in the cycle space, whose dimension is
+    # chi = |E| - |V| + 1 since the graph is weakly connected: the guard
+    # bounds every rank by chi, so the elimination may stop there.
+    bound = len(head) - size + 1 if closed else len(head)
+    ranks = _prefix_ranks(_edge_vectors(circuits, len(head)), bound)
+    return tuple(map(len, circuits)), ranks, closed
 
 
 def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
@@ -515,13 +497,14 @@ def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
             # a connected graph with |E| = |V| - 1 is a tree, so every
             # length-(i+1) factor occurs once and every higher order is a path
             break
-        facts = _order_facts(i, size, codes, cfg.circuit_cap)
+        facts = _graph_facts(size, codes, cfg.circuit_cap)
         if facts is None:
             rep.skipped.append(w)
             return
-        n_small, independent, closed = facts
+        lengths, ranks, closed = facts
+        n_small = bisect_right(lengths, i)  # small: no longer than the order
         sc_total += n_small
-        if not independent:
+        if ranks[n_small] != n_small:
             rep.violations.append((w, f"small circuits at order {i} are dependent"))
         if not closed:
             rep.violations.append((w, f"a circuit at order {i} is not an elementary closed walk"))
@@ -693,12 +676,12 @@ def _eval_count_chain(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     for order, size, codes in _index_graphs(doubled, range(1, n + 1)):
         # never a tree: w + w walks back to its first vertex at position n
         indep_total += len(codes) - size + 1
-        lengths = _circuit_lengths(size, codes, cfg.circuit_cap)
-        if lengths is None:
+        facts = _graph_facts(size, codes, cfg.circuit_cap)
+        if facts is None:
             rep.skipped.append(w)
             return
         # small: no longer than the order, and shorter than half the word
-        small_count += bisect_right(lengths, min(order, (n - 1) // 2))
+        small_count += bisect_right(facts[0], min(order, (n - 1) // 2))
 
     if power_small != realized:
         rep.violations.append(
@@ -1103,6 +1086,8 @@ def check_large_circuit(
     than ``circuit_cap`` circuits at some order is skipped (listed in ``skipped``).
     """
     _validate_large_circuit_instance(w, p, k)
+    if circuit_cap < 1:
+        raise ValueError("circuit cap must be at least 1")
     n, l = len(w), len(p)
     rep = CheckReport(
         check_id="large-circuit",
@@ -1115,14 +1100,12 @@ def check_large_circuit(
     # The search runs at every order, trees included: rank >= chi must fire at chi = 0.
     for order, size, codes in _index_graphs(w + w, range(n - l + 1, n + 1)):
         chi = len(codes) - size + 1
-        head, edges_out = _unpack(size, codes)
-        try:
-            circuits = _circuit_edges(head, edges_out, size, circuit_cap)
-        except CircuitCapExceeded:
+        facts = _graph_facts(size, codes, circuit_cap)
+        if facts is None:
             rep.skipped.append(w)
             break
-        short = [c for c in circuits if 2 * len(c) <= n]
-        rank = independent_rank(_edge_vectors(short, len(head))) if short else 0
+        lengths, ranks, _ = facts
+        rank = ranks[bisect_right(lengths, n // 2)]  # the circuits c with 2 * len(c) <= n
         if rank >= chi:
             rep.violations.append(
                 (w, f"order {order}: short circuits span rank {rank} of chi {chi}")

@@ -24,6 +24,7 @@ from circsq.rauzy import (
     _circuit_edges,
     _edge_vectors,
     _index_graphs,
+    _prefix_ranks,
     _unpack,
 )
 from circsq.words import circular_factors, factors, is_primitive
@@ -353,6 +354,10 @@ def test_independent_rank_matches_fraction_elimination():
         cols = rng.randint(1, 6)
         mat = [tuple(rng.randint(-4, 4) for _ in range(cols)) for _ in range(rows)]
         assert independent_rank(mat) == fraction_rank(mat), mat
+        prefixes = tuple(fraction_rank(mat[:j]) for j in range(rows + 1))
+        assert _prefix_ranks(mat, cols) == prefixes, mat
+        # a bound at the full rank stops the elimination and changes nothing
+        assert _prefix_ranks(mat, prefixes[-1]) == prefixes, mat
 
 
 def test_contains_class_circuit():

@@ -22,6 +22,7 @@ from circsq.verify import (
 )
 from circsq.cli import main
 from circsq.rauzy import DEFAULT_CIRCUIT_CAP
+from circsq.rauzy import _circuit_edges, _edge_vectors, _index_graphs, _unpack
 from circsq.verify import _iter_nonprimitive, _iter_rename_canonical, _level
 from circsq.words import is_primitive, rename_by_first_occurrence, rotations
 
@@ -358,7 +359,7 @@ def test_circuit_rank_reports_a_walk_that_does_not_close(monkeypatch):
     from circsq.verify import _eval_circuit_rank
 
     # the unmemoized facts run the patched search and leave the memo alone
-    monkeypatch.setattr(verify, "_order_facts", verify._order_facts.__wrapped__)
+    monkeypatch.setattr(verify, "_graph_facts", verify._graph_facts.__wrapped__)
     monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 1]])
     out = _evaluate(_eval_circuit_rank, "aab")
     assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
@@ -369,12 +370,12 @@ def test_circuit_rank_reports_a_walk_that_does_not_close(monkeypatch):
 
 
 def test_circuit_rank_memo_matches_cold_runs():
-    # an order's circuit facts read back from the memo give each word the
-    # report a search from scratch gives it
+    # a graph's facts read back from the memo, whatever order and word it
+    # was cut from, give each word the report a search from scratch gives it
     from circsq.verify import _eval_circuit_rank
 
     def cold(w, cfg):
-        verify._order_facts.cache_clear()
+        verify._graph_facts.cache_clear()
         return _evaluate(_eval_circuit_rank, w, cfg)
 
     cfg = SweepConfig()
@@ -382,7 +383,7 @@ def test_circuit_rank_memo_matches_cold_runs():
         w for k, top in ((2, 11), (3, 7)) for n in range(1, top + 1)
         for w in _iter_rename_canonical(k, n)
     ]
-    verify._order_facts.cache_clear()
+    verify._graph_facts.cache_clear()
     warm = [_evaluate(_eval_circuit_rank, w, cfg).to_dict() for w in words]
     for w, report in zip(words, warm):
         assert cold(w, cfg).to_dict() == report, w
@@ -394,7 +395,7 @@ def test_circuit_rank_memo_matches_cold_runs():
         cfg.circuit_cap: [w for w in level if cold(w, cfg).skipped] for cfg in (tight, loose)
     }
     assert expected[1] and not expected[DEFAULT_CIRCUIT_CAP]
-    verify._order_facts.cache_clear()
+    verify._graph_facts.cache_clear()
     for cfg in (tight, loose, tight):
         skipped = [w for w in level if _evaluate(_eval_circuit_rank, w, cfg).skipped]
         assert skipped == expected[cfg.circuit_cap], cfg.circuit_cap
@@ -405,22 +406,21 @@ def _primitive_necklaces(k, top):
 
 
 def test_count_chain_memo_matches_cold_runs():
-    # circuit lengths read back from the memo, whatever order and word their
-    # graph was cut from, give each word the report a search from scratch
-    # gives it
+    # a graph's circuit lengths read back from the memo give each doubled
+    # word the report a search from scratch gives it
     from circsq.verify import _eval_count_chain
 
     def cold(w, cfg):
-        verify._circuit_lengths.cache_clear()
+        verify._graph_facts.cache_clear()
         return _evaluate(_eval_count_chain, w, cfg)
 
     cfg = SweepConfig()
     words = _primitive_necklaces(2, 11) + _primitive_necklaces(3, 7)
-    verify._circuit_lengths.cache_clear()
+    verify._graph_facts.cache_clear()
     warm = [_evaluate(_eval_count_chain, w, cfg).to_dict() for w in words]
     for w, report in zip(words, warm):
         assert cold(w, cfg).to_dict() == report, w
-    # the cap is part of the key: lengths found under one cap never answer
+    # the cap is part of the key: facts found under one cap never answer
     # another, in either order
     level = _primitive_necklaces(2, 8)
     tight, loose = SweepConfig(circuit_cap=1), SweepConfig()
@@ -428,20 +428,80 @@ def test_count_chain_memo_matches_cold_runs():
         cfg.circuit_cap: [w for w in level if cold(w, cfg).skipped] for cfg in (tight, loose)
     }
     assert "aab" in expected[1] and not expected[DEFAULT_CIRCUIT_CAP]
-    verify._circuit_lengths.cache_clear()
+    verify._graph_facts.cache_clear()
     for cfg in (tight, loose, tight):
         skipped = [w for w in level if _evaluate(_eval_count_chain, w, cfg).skipped]
         assert skipped == expected[cfg.circuit_cap], cfg.circuit_cap
+
+
+def test_graph_facts_rank_every_prefix_of_the_circuit_family(monkeypatch):
+    # on every order of every word at the naive-oracle sizes, ranks[j] is the
+    # exact rank of the j shortest circuits, even where the elimination
+    # stopped once the rank reached the cycle space's dimension chi
+    stopped = 0
+    for k, top in ((2, 9), (3, 6)):
+        for n in range(2, top + 1):
+            for w in words_over(k, n):
+                for i, size, codes in _index_graphs(w, range(1, n)):
+                    head, out = _unpack(size, codes)
+                    found = _circuit_edges(head, out, size, DEFAULT_CIRCUIT_CAP)
+                    vectors = _edge_vectors(sorted(found, key=len), len(head))
+                    lengths, ranks, closed = verify._graph_facts.__wrapped__(
+                        size, codes, DEFAULT_CIRCUIT_CAP
+                    )
+                    assert closed and lengths == tuple(sorted(map(len, found))), (w, i)
+                    assert ranks == tuple(
+                        fraction_rank(vectors[:j]) for j in range(len(vectors) + 1)
+                    ), (w, i)
+                    stopped += len(vectors) > 1 and ranks[-2] == len(head) - size + 1
+    assert stopped
+    # walks that do not close may span more than chi, so the elimination
+    # runs to the end: "aab" at order 1 has chi 1, and its edges a -> a and
+    # a -> b, passed off as two circuits, have rank 2
+    monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0], [1]])
+    (_, size, codes), = _index_graphs("aab", range(1, 2))
+    assert verify._graph_facts.__wrapped__(size, codes, 1) == ((1, 1), (0, 1, 2), False)
 
 
 def test_count_chain_memo_traffic_is_pinned():
     # a cold (2,11) sweep searches each of its 326 distinct graphs once and
     # reads the other 1,709 circuit-bearing orders back; a key that also held
     # the order or the word length would miss more often
-    verify._circuit_lengths.cache_clear()
+    verify._graph_facts.cache_clear()
     assert run_check("count-chain", _cfg("count-chain", 2, 11)).passed
-    info = verify._circuit_lengths.cache_info()
+    info = verify._graph_facts.cache_info()
     assert (info.misses, info.hits) == (326, 1709)
+
+
+def test_circuit_rank_memo_traffic_is_pinned():
+    # the renamed words of a cold (3,8) sweep share their low-order graphs
+    # across orders too: keyed by the graph alone, 664 of 3,740 lookups
+    # search, where a key that also held the order searched 789
+    verify._graph_facts.cache_clear()
+    assert run_check("circuit-rank", _cfg("circuit-rank", 3, 8)).passed
+    info = verify._graph_facts.cache_info()
+    assert (info.misses, info.hits) == (664, 3076)
+
+
+def test_graph_checks_share_the_memo():
+    # facts that count-chain left in the memo answer circuit-rank and
+    # large-circuit with the reports each gives from a cold memo, under a
+    # cap that skips words and under the default cap
+    for cap in (1, DEFAULT_CIRCUIT_CAP):
+        cold, cold_hits = {}, {}
+        for check in ("circuit-rank", "large-circuit"):
+            verify._graph_facts.cache_clear()
+            cold[check] = run_check(check, _cfg(check, 2, 8, circuit_cap=cap)).to_dict()
+            cold_hits[check] = verify._graph_facts.cache_info().hits
+        verify._graph_facts.cache_clear()
+        run_check("count-chain", _cfg("count-chain", 2, 8, circuit_cap=cap))
+        for check in ("circuit-rank", "large-circuit"):
+            hits = verify._graph_facts.cache_info().hits
+            warm = run_check(check, _cfg(check, 2, 8, circuit_cap=cap)).to_dict()
+            assert warm == cold[check], (check, cap)
+            if check == "circuit-rank":
+                # it read some graphs count-chain had searched
+                assert verify._graph_facts.cache_info().hits - hits > cold_hits[check]
 
 
 def test_class_circuits_examples_direct():
@@ -677,6 +737,8 @@ def test_large_circuit_preconditions_name_the_failed_clause():
         check_large_circuit("abababab", "ab", 4)  # r == 0
     with pytest.raises(ValueError, match="circular factor"):
         check_large_circuit("abcbcbcbc", "ab", 4)
+    with pytest.raises(ValueError, match="circuit cap must be at least 1"):
+        check_large_circuit("ababababc", "ab", 4, 0)
 
 
 def test_large_circuit_word_length_fits_the_graph_code():
