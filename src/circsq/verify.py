@@ -48,17 +48,16 @@ read each power class as its conjugates' top exponents, from one scan of
 the word's periodic runs, and count its members from them.  The bound checks
 count circular squares with the bit-parallel kernel of :mod:`circsq.squares`;
 ``class-parity`` compares its even-power totals with linear squares listed by
-the naive scan, a route independent of that kernel.  Checks that
-read one word stream share a pass over it per length and compute a shared
-fact once per word; with several jobs each worker of one pool per suite
-sweeps one contiguous range of each level's stream.  A sweep, with one job
-or several, can checkpoint to a line-oriented file whose v3 header
-fingerprints its config.  Each
-per-word evaluator writes straight into the :class:`CheckReport` of the
-level it sweeps: it appends violations, flagged entries and a word its
-circuit cap skipped, offers its ratio as the witness, and adds to stats
-through :meth:`CheckReport.count`.  Levels, worker ranges, restored levels
-and built-in instances are all :class:`CheckReport` values folded by
+the naive scan, a route independent of that kernel.  The checks that read
+one word stream share its one pass per length, which the parent enumerates
+and feeds in ordered chunks, in process or to one pool per suite, and
+compute a shared fact once per word.  A sweep can checkpoint, at one cadence
+under any number of jobs, to a line-oriented file whose v3 header
+fingerprints its config.  Each per-word evaluator writes straight into the
+:class:`CheckReport` of the chunk it sweeps: it appends violations, flagged
+entries and a word its circuit cap skipped, offers its ratio as the witness,
+and adds to stats through :meth:`CheckReport.count`.  Chunks, restored
+levels and built-in instances are all :class:`CheckReport` values folded by
 :meth:`CheckReport.merge`.
 """
 
@@ -128,6 +127,7 @@ CHECK_ORDER = (
 )
 
 _CHECKPOINT_MAGIC = "circsq-checkpoint v3"
+_CHECKPOINT_FLUSH_EVERY = 2000  # stream words of a level between two records
 _CHECKPOINT_LISTS = ("violations", "flagged", "skipped")
 _CHECKPOINT_KEYS = frozenset(
     ("done", "last", "tested", "ratio", "witness", "stats") + _CHECKPOINT_LISTS
@@ -796,13 +796,12 @@ class _Checkpoint:
     valid records of the key are concatenated in file order, so a sweep killed
     mid-write resumes to the uninterrupted report; a payload that is not a
     JSON object holding every record key, each with a value of its type, is
-    skipped like a torn one.  A single-job sweep also writes a record every
-    ``_CHECKPOINT_FLUSH_EVERY`` words of a level; with several jobs the parent
-    process alone reads and writes the file, one record per finished level, so
-    a finished level reads the same under any number of jobs and an open one
-    resumes under any number.  The file is read once and written through one
-    handle flushed per record; I/O problems are counted and silence further
-    writes, and the sweep continues.
+    skipped like a torn one.  Only the parent process reads and writes the
+    file: a record per open check every ``_CHECKPOINT_FLUSH_EVERY`` words of a
+    level's stream and one when the level is done, so the file is the same
+    under any number of jobs and resumes under any number.  It is read once
+    and written through one handle flushed per record; I/O problems are
+    counted and silence further writes, and the sweep continues.
     """
 
     def __init__(self, cfg: SweepConfig) -> None:
@@ -914,34 +913,26 @@ class _Checkpoint:
 # runners
 
 
-_CHECKPOINT_FLUSH_EVERY = 2000
+def _run_block(args: tuple) -> tuple[dict, dict, int]:
+    """Sweep ``args = (stream, cfg, n, last, words)``; return ``(parts, ends, len(words))``.
 
-
-def _run_block(args: tuple, ckpt: _Checkpoint | None = None) -> tuple[dict, dict]:
-    """Sweep ``args = (stream, cfg, n, parts, last, start, stop)``; return ``(parts, last)``.
-
-    The words are those at positions ``start`` up to ``stop`` (``None``: the
-    end) of the stream's level of length ``n``.  Each check ``cid`` in
-    ``last`` folds the words after ``last[cid]`` into ``parts[cid]``, and
-    ``last[cid]`` follows the last word it took.  A single-job sweep passes
-    its whole level and its checkpoint, and saves every
-    ``_CHECKPOINT_FLUSH_EVERY`` words of a check; a pool worker gets one
-    contiguous range and no checkpoint.
+    Each check ``cid`` in ``last`` folds the words of the chunk after ``last[cid]``
+    into a fresh ``parts[cid]``, and ``ends[cid]`` is the last one, if any.
     """
-    stream, cfg, n, parts, last, start, stop = args
-    feeds = [(cid, parts[cid], _CHECK_DEFS[cid]) for cid in last]
-    screen = any(cdef.primitive_only for _, _, cdef in feeds)
-    for w in islice(_level(stream, cfg.alphabet_size, n, cfg.canonicalize), start, stop):
+    _, cfg, _, last, words = args
+    parts = {cid: CheckReport.for_config(cid, cfg) for cid in last}
+    ends = {}
+    feeds = [(cid, parts[cid], _CHECK_DEFS[cid], last[cid] or "") for cid in last]
+    screen = any(cdef.primitive_only for _, _, cdef, _ in feeds)
+    for w in words:
         proper_power = screen and not is_primitive(w)  # one primitivity test per word
-        for cid, part, cdef in feeds:
-            if w <= (last[cid] or "") or (cdef.primitive_only and proper_power):
+        for cid, part, cdef, after in feeds:
+            if w <= after or (cdef.primitive_only and proper_power):
                 continue
             part.words_tested += 1
             cdef.evaluate(w, cfg, part)
-            last[cid] = w
-            if ckpt is not None and part.words_tested % _CHECKPOINT_FLUSH_EVERY == 0:
-                ckpt.save(n, part, w, done=False)
-    return parts, last
+            ends[cid] = w
+    return parts, ends, len(words)
 
 
 def _sweep_level(
@@ -949,29 +940,38 @@ def _sweep_level(
 ) -> list[CheckReport]:
     """One report per check in ``ids`` over the stream's level of length ``n``.
 
-    Each check resumes from its checkpoint record.  With ``jobs`` J > 1 the
-    level's ``size`` words are counted, and pool worker r sweeps positions
-    ``r * size // J`` up to ``(r + 1) * size // J``; the ranges follow
-    stream order, so the restored level and then the parts fold by
-    :meth:`CheckReport.merge` into the report of a single job.
+    Each check resumes from its checkpoint record.  The level is enumerated
+    once, here, and cut in stream order into chunks of ``max(16, fed // 2J)``
+    words after ``fed`` words under J ``jobs``, none across a multiple of
+    ``_CHECKPOINT_FLUSH_EVERY``.  ``map`` or ``pool.imap`` runs each chunk as a
+    :func:`_run_block` task with one snapshot of the restored ``last``, and the
+    parts fold in order by :meth:`CheckReport.merge`.  At each such multiple
+    every check past its restored word gets a record, and each a done record
+    at the level's end, so the file is the same under any number of jobs.
     """
     levels = {cid: CheckReport.for_config(cid, cfg) for cid in ids}
     resumed = {cid: ckpt.restore(n, lv) if ckpt else (None, False) for cid, lv in levels.items()}
     last = {cid: word for cid, (word, done) in resumed.items() if not done}  # the open checks
-    if not last:
-        return list(levels.values())
-    if cfg.jobs == 1:
-        _run_block((stream, cfg, n, levels, last, 0, None), ckpt)
-    else:
-        size = sum(1 for _ in _level(stream, cfg.alphabet_size, n, cfg.canonicalize))
-        cuts = [r * size // cfg.jobs for r in range(cfg.jobs + 1)]
-        fresh = {cid: CheckReport.for_config(cid, cfg) for cid in last}  # pickled per task
-        tasks = [(stream, cfg, n, fresh, last, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        for parts, ends in pool.map(_run_block, tasks):
-            for cid, part in parts.items():
-                levels[cid].merge(part)
-                if part.words_tested:  # a range that took no word echoes the restored last
-                    last[cid] = ends[cid]
+    restored = dict(last)  # one snapshot for every task: the fold updates ``last``
+    words = iter(_level(stream, cfg.alphabet_size, n, cfg.canonicalize) if last else ())
+    every, span = _CHECKPOINT_FLUSH_EVERY, 2 * cfg.jobs
+
+    def tasks():
+        fed = 0
+        while chunk := list(islice(words, min(every - fed % every, max(16, fed // span)))):
+            fed += len(chunk)
+            yield stream, cfg, n, restored, chunk
+
+    folded = 0
+    for parts, ends, size in (pool.imap if pool else map)(_run_block, tasks()):
+        for cid, part in parts.items():
+            levels[cid].merge(part)
+        last.update(ends)
+        folded += size
+        if ckpt is not None and folded % every == 0:
+            for cid in last:
+                if last[cid] != restored[cid]:
+                    ckpt.save(n, levels[cid], last[cid], done=False)
     if ckpt is not None:
         for cid in last:
             ckpt.save(n, levels[cid], last[cid], done=True)

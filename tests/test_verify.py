@@ -3,6 +3,7 @@
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -879,15 +880,20 @@ def test_jobs_merge_equals_single_threaded():
 
 
 class _RecordingPool:
-    """A pool that runs each task in-process on its own copy and records the ranges."""
+    """A pool that runs each task in-process on its own copy and records the tasks.
+
+    Beside each task it keeps a copy of the task's ``last`` as it was when the
+    task was drawn, after the parent had folded every earlier result.
+    """
 
     def __init__(self, jobs):
         self.jobs = jobs
-        self.maps = []
+        self.tasks = []
 
-    def map(self, fn, tasks):
-        self.maps.append(tasks)
-        return [fn(pickle.loads(pickle.dumps(t))) for t in tasks]
+    def imap(self, fn, tasks):
+        for task in tasks:
+            self.tasks.append((task, dict(task[3])))
+            yield fn(pickle.loads(pickle.dumps(task)))
 
     def close(self):
         pass
@@ -896,34 +902,81 @@ class _RecordingPool:
         pass
 
 
-def test_job_ranges_are_contiguous_and_balanced(monkeypatch):
-    # worker r of J sweeps positions r * size // J up to (r + 1) * size // J
-    pools = []
+def _recording_pools(monkeypatch):
+    """Pools that ``verify`` starts from now on, and each level it enumerates to sweep."""
+    pools, levels = [], []
 
     def start(jobs):
         pools.append(_RecordingPool(jobs))
         return pools[-1]
 
+    def level(stream, k, n, canonicalize):
+        if sys._getframe(1).f_code.co_name == "_sweep_level":  # not the nonprimitive stream's
+            levels.append((stream, n))
+        return _level(stream, k, n, canonicalize)
+
     monkeypatch.setattr(verify.multiprocessing, "Pool", start)
+    monkeypatch.setattr(verify, "_level", level)
+    return pools, levels
+
+
+def test_jobs_feed_each_level_once_in_ordered_chunks(monkeypatch):
+    # the parent enumerates each level once and feeds it to the pool in
+    # chunks, in stream order, none of them across a checkpoint flush
+    flush = 7
+    monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", flush)
+    pools, levels = _recording_pools(monkeypatch)
     checks = frozenset({"bound-5-3", "bound-nonprimitive", "class-parity"})  # one per stream
+    streams = ("necklace", "nonprimitive", "rename")
     for k, n, canonicalize in ((2, 9, True), (3, 6, True), (2, 7, False)):
         for jobs in (2, 3, 5):
             cfg = SweepConfig(k, n, checks, canonicalize, jobs=jobs)
+            levels.clear()
             many = run_suite(cfg).to_dict()
+            assert levels == [(s, m) for s in streams for m in range(1, n + 1)], (k, n, jobs)
             for rep in many["reports"]:
                 rep["config"]["jobs"] = 1
             assert many == run_suite(replace(cfg, jobs=1)).to_dict(), (k, n, jobs)
             (pool,) = pools[-1:]
-            assert pool.jobs == jobs and len(pool.maps) == 3 * n  # three streams
-            for tasks in pool.maps:
-                stream, _, level_n = tasks[0][:3]
-                size = len(list(_level(stream, k, level_n, canonicalize)))
-                ranges = [t[5:] for t in tasks]
-                assert len(ranges) == jobs
-                assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-                assert ranges[-1][1] == size
-                spans = [hi - lo for lo, hi in ranges]
-                assert max(spans) - min(spans) <= 1, (stream, level_n, ranges)
+            assert pool.jobs == jobs
+            fed, snaps = {}, {}
+            for task, _ in pool.tasks:
+                stream, _, m, last, words = task
+                start = len(fed.setdefault((stream, m), []))
+                assert words and start // flush == (start + len(words) - 1) // flush, (stream, m)
+                assert snaps.setdefault((stream, m), last) is last  # one snapshot per level
+                fed[stream, m] += words
+            for s, m in levels:  # each level's chunks make up that level, in stream order
+                assert fed.get((s, m), []) == list(_level(s, k, m, canonicalize)), (s, m)
+
+
+def test_jobs_tasks_share_the_restored_snapshot(monkeypatch, tmp_path):
+    # every task of a level carries one snapshot of the restored last words,
+    # unchanged however far the parent has folded when the task is drawn
+    monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", 5)
+    cfg = SweepConfig(2, 8, frozenset({"bound-5-3", "case-bounds"}))
+    whole = tmp_path / "whole.txt"
+    run_suite(replace(cfg, checkpoint_path=str(whole)))
+    lines = whole.read_text().splitlines(keepends=True)
+    cut = next(i for i, line in enumerate(lines) if line.startswith("R case-bounds 2 8 "))
+    restored = {}  # each check's last word in its latest record of the top level
+    for line in lines[: cut + 1]:
+        _, check, _, n, payload = line.split(maxsplit=4)
+        if n == "8":
+            restored[check] = json.loads(payload)["last"]
+    assert len(restored) == 2 and None not in restored.values()  # open in mid-level
+    pools, _ = _recording_pools(monkeypatch)
+    expected = run_suite(cfg).to_dict()
+    for jobs in (2, 3):
+        torn = tmp_path / "torn.txt"
+        torn.write_text("".join(lines[: cut + 1]))
+        got = run_suite(replace(cfg, checkpoint_path=str(torn), jobs=jobs)).to_dict()
+        for rep in got["reports"]:
+            rep["config"]["jobs"] = 1
+        assert got == expected, jobs
+        top = [(task[3], seen) for task, seen in pools[-1].tasks if task[2] == 8]
+        assert len(top) > 3 and all(snap is top[0][0] for snap, _ in top)
+        assert all(seen == restored for _, seen in top)
 
 
 def test_spot_check_runs_once_per_suite(monkeypatch):
@@ -1095,7 +1148,7 @@ def test_checkpoint_io_failure_is_recoverable():
     assert rep.stats["checkpoint_errors"] >= 1
 
 
-def test_checkpoint_disabled_with_jobs(tmp_path):
+def test_checkpoint_kept_with_jobs(tmp_path):
     # two jobs keep the checkpoint: the file is written and the report is the
     # one-job report
     path = tmp_path / "progress.txt"
@@ -1139,6 +1192,35 @@ def test_checkpoint_under_jobs(tmp_path, monkeypatch, capsys):
                 rep["config"]["jobs"] = 1
             assert got == expected, (cut, text[:cut].splitlines()[-1:])
     assert resumed_open > 3
+
+
+def test_checkpoint_file_is_the_same_under_any_jobs(tmp_path, monkeypatch):
+    # Small flush batches put several records in each level.  The file is the
+    # same under one, two and three jobs, holds open records, and a --jobs 2
+    # file cut anywhere resumes under one job or two to the uninterrupted report;
+    # cut after a line, the resumed sweep appends just what the whole one wrote.
+    monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", 5)
+    checks = frozenset({"bound-5-3", "case-bounds", "class-parity"})  # two streams
+    cfg = SweepConfig(2, 6, checks, circuit_cap=1)
+    expected = run_suite(cfg).to_dict()
+    files = {}
+    for jobs in (1, 2, 3):
+        path = tmp_path / f"jobs{jobs}.txt"
+        run_suite(replace(cfg, checkpoint_path=str(path), jobs=jobs))
+        files[jobs] = path.read_text()
+    assert files[2] == files[1] and files[3] == files[1]
+    text = files[2]
+    assert sum('"done": false' in line for line in text.splitlines()) > 10
+    torn = tmp_path / "torn.txt"
+    for cut in _cuts(text):
+        for jobs in (1, 2):
+            torn.write_text(text[:cut])
+            got = run_suite(replace(cfg, checkpoint_path=str(torn), jobs=jobs)).to_dict()
+            for rep in got["reports"]:
+                rep["config"]["jobs"] = 1
+            assert got == expected, (cut, jobs, text[:cut].splitlines()[-1:])
+            if text[:cut].endswith("\n"):
+                assert torn.read_text() == text, (cut, jobs)
 
 
 def test_benchmark_hooks_stay_public():
