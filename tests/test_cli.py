@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, env overrides."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import time
 from pathlib import Path
 
 import circsq
-from circsq.cli import main
+from circsq.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,121 @@ _PINNED_TEXT = [
             'aabab,5,2,2,0\r\naabaabab,8,1,1,0\r\n'
         ),
     ),
+    (
+        ('count', 'abaabaab'),
+        'Sq(abaabaab) = 4\naa\naabaab\nabaaba\nbaabaa\n',
+    ),
+    (
+        ('count', 'abaabaab', '--format', 'csv'),
+        'square\r\naa\r\naabaab\r\nabaaba\r\nbaabaa\r\n',
+    ),
+    (
+        ('count', '--circular', 'abaab'),
+        'Sq([abaab]) = 3\naa\nabab\nbaba\n',
+    ),
+    (
+        ('count', '--circular', 'abaab', '--format', 'csv'),
+        'square\r\naa\r\nabab\r\nbaba\r\n',
+    ),
+    (
+        ('classes', 'abacabacabac'),
+        'word abacabacabac: n=12  Sq=4  Sq_circular=4\n  root abac  l=4  t=5  |E|=4  |O|=1\n',
+    ),
+    (
+        ('classes', 'aabaababaabaabab'),
+        (
+            'word aabaababaabaabab: n=16  Sq=9  Sq_circular=16\n'
+            '  root a  l=1  t=1  |E|=1  |O|=0\n  root ab  l=2  t=2  |E|=2  |O|=0\n'
+            '  root aab  l=3  t=4  |E|=3  |O|=1\n  root aabab  l=5  t=2  |E|=2  |O|=0\n'
+            '  root aabaabab  l=8  t=1  |E|=1  |O|=0\n'
+        ),
+    ),
+    (
+        ('classes', 'ab'),
+        'word ab: n=2  Sq=0  Sq_circular=0\nno power classes\n',
+    ),
+    (
+        ('rauzy', 'abacabacabac', '--order', '1', '--format', 'dot'),
+        (
+            'digraph factors_1 {\n  rankdir=LR;\n  "a";\n  "b";\n  "c";\n'
+            '  "a" -> "b" [label="ab"];\n  "a" -> "c" [label="ac"];\n'
+            '  "b" -> "a" [label="ba"];\n  "c" -> "a" [label="ca"];\n}\n'
+        ),
+    ),
+    (
+        ('circuits', 'aabaababaabaabab', '--order', '2'),
+        (
+            'order 2: 2 elementary circuits, 1 small, rank=2, chi=2\n'
+            '  length 2: ab -> ba -> ab\n  length 3: aa -> ab -> ba -> aa\n'
+        ),
+    ),
+    (
+        ('split', 'abacabcab'),
+        'abacabcab splits at 3; components of lengths 2+3+4=9\n',
+    ),
+    (
+        ('split', 'ab'),
+        'ab never splits\n',
+    ),
+    (
+        ('verify', '--max-len', '7'),
+        (
+            'bound-5-3            ok               words=31       max_ratio=2/3      '
+            'witness=aabaab\n'
+            'bound-nonprimitive   ok               words=9        max_ratio=2/3      '
+            'witness=aabaab\n'
+            'circuit-rank         ok               words=127      max_ratio=-        witness=-\n'
+            'class-circuits       ok               words=127      max_ratio=-        witness=-\n'
+            'class-parity         ok               words=127      max_ratio=-        witness=-\n'
+            'splits               ok               words=22       max_ratio=-        witness=-\n'
+            'case-bounds          ok               words=22       max_ratio=-        witness=-\n'
+            'count-chain          ok               words=22       max_ratio=-        witness=-\n'
+            'large-circuit        ok               words=5        max_ratio=-        witness=-\n'
+            'all checks passed\n'
+        ),
+    ),
+    (
+        ('verify', '--max-len', '7', '--format', 'csv'),
+        (
+            'check,words,violations,max_ratio,witness\r\nbound-5-3,31,0,2/3,aabaab\r\n'
+            'bound-nonprimitive,9,0,2/3,aabaab\r\ncircuit-rank,127,0,,\r\n'
+            'class-circuits,127,0,,\r\nclass-parity,127,0,,\r\nsplits,22,0,,\r\n'
+            'case-bounds,22,0,,\r\ncount-chain,22,0,,\r\nlarge-circuit,5,0,,\r\n'
+        ),
+    ),
+    (
+        ('verify', '--check', 'circuit-rank,large-circuit', '--budget', '1', '--max-len', '4'),
+        (
+            'circuit-rank         ok               words=15       max_ratio=-        witness=-\n'
+            '    skipped aaba\n    skipped aabb\n    skipped abaa\n    skipped abba\n'
+            'large-circuit        ok               words=5        max_ratio=-        witness=-\n'
+            '    skipped aabaabaabaaba\nincomplete: 5 word(s) skipped\n'
+        ),
+    ),
+    (
+        ('verify', '--check', 'circuit-rank,large-circuit', '--budget', '1', '--max-len', '4',
+         '--format', 'csv'),
+        (
+            'check,words,violations,max_ratio,witness\r\ncircuit-rank,15,0,,\r\n'
+            'large-circuit,5,0,,\r\n'
+        ),
+    ),
+    (
+        ('search', '--max-len', '6'),
+        'best aabaab  Sq=4  ratio=2/3  (exhaustive, 8 evaluations)\n',
+    ),
+    (
+        ('search', '--max-len', '6', '--format', 'csv'),
+        'witness,ratio,evaluations\r\naabaab,2/3,8\r\n',
+    ),
+    (
+        ('search', '--max-len', '12', '--budget', '300', '--seed', '3'),
+        'best aaabaabaaaba  Sq=10  ratio=5/6  (hill-climbing, 300 evaluations)\n',
+    ),
+    (
+        ('search', '--max-len', '12', '--budget', '300', '--seed', '3', '--format', 'csv'),
+        'witness,ratio,evaluations\r\naaabaabaaaba,5/6,300\r\n',
+    ),
 ]
 
 _PINNED_JSON = [
@@ -300,15 +416,73 @@ _PINNED_JSON = [
             '"splits_at": 11, "word": "aabaababaabab"}'
         ),
     ),
+    (
+        ('count', '--circular', 'abaab', '--format', 'json'),
+        '{"circular": true, "count": 3, "squares": ["aa", "abab", "baba"], "word": "abaab"}',
+    ),
+    (
+        ('rauzy', 'aabaababaabaabab', '--order', '2', '--format', 'json'),
+        (
+            '{"chi": 2, "edges": ["aab", "aba", "baa", "bab"], "order": 2, '
+            '"vertices": ["aa", "ab", "ba"], "word": "aabaababaabaabab"}'
+        ),
+    ),
+    (
+        ('split', 'ab', '--format', 'json'),
+        '{"component_lengths": [], "splits_at": null, "word": "ab"}',
+    ),
+    (
+        ('verify', '--check', 'bound-5-3', '--max-len', '4', '--format', 'json'),
+        (
+            '{"passed": true, "reports": [{"check": "bound-5-3", "config": {"alphabet_size": 2, '
+            '"canonicalize": true, "jobs": 1, "max_length": 4, "seed": 0}, "flagged": [], '
+            '"max_ratio": "1/2", "passed": true, "skipped": [], "stats": '
+            '{"canonical_pairs_checked": 1000}, "violations": [], "witness": "aa", '
+            '"words_tested": 9}], "violations_total": 0}'
+        ),
+    ),
+    (
+        ('search', '--max-len', '6', '--format', 'json'),
+        (
+            '{"check": "search", "config": {"alphabet_size": 2, "canonicalize": true, '
+            '"jobs": 1, "max_length": 6, "seed": 0}, "flagged": [], "max_ratio": "2/3", '
+            '"passed": true, "skipped": [], "stats": {"above_3_2": 0, "above_5_4": 0, '
+            '"best_count": 4, "evaluations": 8, "exhaustive": 1}, "violations": [], '
+            '"witness": "aabaab", "words_tested": 8}'
+        ),
+    ),
 ]
+
+# A pinned command exits 0 unless it is listed here.
+_PINNED_EXIT = {
+    ('verify', '--check', 'circuit-rank,large-circuit', '--budget', '1', '--max-len', '4'): 3,
+    ('verify', '--check', 'circuit-rank,large-circuit', '--budget', '1', '--max-len', '4',
+     '--format', 'csv'): 3,
+}
 
 
 def test_string_layer_output_is_pinned(capsys):
     for argv, expected in _PINNED_TEXT:
-        assert run_cli(capsys, *argv) == (0, expected, ""), argv
+        assert run_cli(capsys, *argv) == (_PINNED_EXIT.get(argv, 0), expected, ""), argv
     for argv, expected in _PINNED_JSON:
         printed = json.dumps(json.loads(expected), sort_keys=True, indent=2) + "\n"
         assert run_cli(capsys, *argv) == (0, printed, ""), argv
+
+
+def test_every_command_and_format_is_pinned():
+    # a new subcommand or --format choice needs a pinned case above
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = set()
+    for name, sub in commands.choices.items():
+        (fmt,) = [a for a in sub._actions if a.dest == "format"]
+        offered |= {(name, choice) for choice in fmt.choices}
+    pinned = set()
+    for argv, _ in _PINNED_TEXT + _PINNED_JSON:
+        args = parser.parse_args(list(argv))
+        pinned.add((args.command, args.format))
+    assert len(commands.choices) == 7
+    assert offered - pinned == set()
 
 
 def test_empty_word_is_usage_error(capsys):
@@ -412,7 +586,7 @@ def test_verify_large_circuit_over_budget_is_incomplete(capsys):
     assert out.splitlines()[-1] == "incomplete: 1 word(s) skipped"
 
 
-def test_verify_warns_that_jobs_drop_the_checkpoint(capsys, tmp_path):
+def test_verify_keeps_the_checkpoint_under_jobs(capsys, tmp_path):
     # --jobs 2 keeps the checkpoint without a warning, and a one-job rerun
     # from that file prints the same report
     path = tmp_path / "progress.txt"
