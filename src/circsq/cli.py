@@ -1,6 +1,8 @@
 """Command-line frontend.
 
 Subcommands: count, classes, rauzy, circuits, split, verify, search.
+Each subcommand builds its result once, as a JSON payload, text lines and,
+where it offers CSV, a table, and :func:`_emit` prints the requested format.
 Exit status: 0 on success, 1 when a verification or search found
 violations, 2 on usage errors, 3 when a verification found no violation
 but skipped words (an incomplete sweep).
@@ -30,14 +32,17 @@ def _word_arg(raw: str) -> str:
         raise _UsageError(str(exc)) from exc
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _emit_csv(rows: list[list], header: list[str]) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(fmt: str, payload: dict, text: list[str], table: tuple | None = None) -> None:
+    """Print ``payload`` as JSON, ``table = (header, rows)`` as CSV, or ``text`` as lines."""
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        header, rows = table
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        print("\n".join(text))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -48,35 +53,26 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         ss = squares.distinct_squares(w)
         label = w
-    if args.format == "json":
-        _emit_json(
-            {"word": w, "circular": args.circular, "count": ss.count, "squares": list(ss)}
-        )
-    elif args.format == "csv":
-        _emit_csv([[s] for s in ss], ["square"])
-    else:
-        print(f"Sq({label}) = {ss.count}")
-        for s in ss:
-            print(s)
+    found = list(ss)
+    payload = {"word": w, "circular": args.circular, "count": ss.count, "squares": found}
+    text = [f"Sq({label}) = {ss.count}", *found]
+    _emit(args.format, payload, text, (["square"], [[s] for s in found]))
     return 0
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     w = _word_arg(args.word)
     report = squares.decomposition_report(w)
-    if args.format == "json":
-        _emit_json(report)
-    elif args.format == "csv":
-        rows = [[c["root"], c["l"], c["t"], c["even"], c["odd"]] for c in report["classes"]]
-        _emit_csv(rows, ["root", "l", "t", "even", "odd"])
-    else:
-        print(f"word {w}: n={report['n']}  Sq={report['sq']}  Sq_circular={report['sq_circular']}")
-        if not report["classes"]:
-            print("no power classes")
-        for c in report["classes"]:
-            print(
-                f"  root {c['root']}  l={c['l']}  t={c['t']}  |E|={c['even']}  |O|={c['odd']}"
-            )
+    classes = report["classes"]
+    text = [f"word {w}: n={report['n']}  Sq={report['sq']}  Sq_circular={report['sq_circular']}"]
+    if not classes:
+        text.append("no power classes")
+    text += [
+        f"  root {c['root']}  l={c['l']}  t={c['t']}  |E|={c['even']}  |O|={c['odd']}"
+        for c in classes
+    ]
+    header = ["root", "l", "t", "even", "odd"]
+    _emit(args.format, report, text, (header, [[c[h] for h in header] for c in classes]))
     return 0
 
 
@@ -89,25 +85,16 @@ def _graph_for(args: argparse.Namespace) -> rauzy.RauzyGraph:
 
 def _cmd_rauzy(args: argparse.Namespace) -> int:
     g = _graph_for(args)
+    chi = rauzy.cyclomatic_number(g)
     if args.format == "dot":
-        print(rauzy.to_dot(g))
-    elif args.format == "json":
-        _emit_json(
-            {
-                "word": args.word,
-                "order": g.order,
-                "vertices": sorted(g.vertices),
-                "edges": list(g.edges),
-                "chi": rauzy.cyclomatic_number(g),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv([[e, e[:-1], e[1:]] for e in g.edges], ["edge", "tail", "head"])
+        text = [rauzy.to_dot(g)]
     else:
-        print(f"order {g.order}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
-              f"chi={rauzy.cyclomatic_number(g)}")
-        for e in g.edges:
-            print(f"  {e[:-1]} -> {e[1:]}  [{e}]")
+        text = [f"order {g.order}: {len(g.vertices)} vertices, {len(g.edges)} edges, chi={chi}"]
+        text += [f"  {e[:-1]} -> {e[1:]}  [{e}]" for e in g.edges]
+    payload = {"word": args.word, "order": g.order, "vertices": sorted(g.vertices),
+               "edges": list(g.edges), "chi": chi}
+    rows = [[e, e[:-1], e[1:]] for e in g.edges]
+    _emit(args.format, payload, text, (["edge", "tail", "head"], rows))
     return 0
 
 
@@ -123,31 +110,16 @@ def _cmd_circuits(args: argparse.Namespace) -> int:
     chi = rauzy.cyclomatic_number(g)
     rank = rauzy.independent_rank(vectors)
     small = sum(1 for c in circuits if c.length <= g.order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "word": args.word,
-                "order": g.order,
-                "chi": chi,
-                "rank": rank,
-                "small_circuits": small,
-                "circuits": [
-                    {"length": c.length, "vertices": list(c.vertices), "vector": list(v)}
-                    for c, v in zip(circuits, vectors)
-                ],
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            [i, c.length, " ".join(c.vertices), " ".join(map(str, v))]
-            for i, (c, v) in enumerate(zip(circuits, vectors))
-        ]
-        _emit_csv(rows, ["index", "length", "vertices", "vector"])
-    else:
-        print(f"order {g.order}: {len(circuits)} elementary circuits, "
-              f"{small} small, rank={rank}, chi={chi}")
-        for c in circuits:
-            print(f"  length {c.length}: {c}")
+    payload = {"word": args.word, "order": g.order, "chi": chi, "rank": rank,
+               "small_circuits": small,
+               "circuits": [{"length": c.length, "vertices": list(c.vertices), "vector": list(v)}
+                            for c, v in zip(circuits, vectors)]}
+    text = [f"order {g.order}: {len(circuits)} elementary circuits, "
+            f"{small} small, rank={rank}, chi={chi}"]
+    text += [f"  length {c.length}: {c}" for c in circuits]
+    rows = [[i, c.length, " ".join(c.vertices), " ".join(map(str, v))]
+            for i, (c, v) in enumerate(zip(circuits, vectors))]
+    _emit(args.format, payload, text, (["index", "length", "vertices", "vector"], rows))
     return 0
 
 
@@ -157,25 +129,16 @@ def _cmd_split(args: argparse.Namespace) -> int:
         raise _UsageError(f"{w!r} is not primitive; split analysis needs a primitive word")
     m = rauzy.split_point(w)
     if m is None:
-        if args.format == "json":
-            _emit_json({"word": w, "splits_at": None, "component_lengths": []})
-        else:
-            print(f"{w} never splits")
-        return 0
-    parts = rauzy.decompose_split(w, m)
-    lengths = [c.length for c in parts]
-    if args.format == "json":
-        _emit_json(
-            {
-                "word": w,
-                "splits_at": m,
-                "component_lengths": lengths,
-                "component_roots": [rauzy.circuit_root(c) for c in parts],
-            }
-        )
+        payload = {"word": w, "splits_at": None, "component_lengths": []}
+        text = [f"{w} never splits"]
     else:
+        parts = rauzy.decompose_split(w, m)
+        lengths = [c.length for c in parts]
+        payload = {"word": w, "splits_at": m, "component_lengths": lengths,
+                   "component_roots": [rauzy.circuit_root(c) for c in parts]}
         total = "+".join(str(x) for x in lengths)
-        print(f"{w} splits at {m}; components of lengths {total}={len(w)}")
+        text = [f"{w} splits at {m}; components of lengths {total}={len(w)}"]
+    _emit(args.format, payload, text)
     return 0
 
 
@@ -205,41 +168,27 @@ def _report_lines(rep: verify.CheckReport) -> list[str]:
         f"{rep.check_id:<20} {status:<16} words={rep.words_tested:<8} "
         f"max_ratio={ratio:<8} witness={witness}"
     ]
-    for word, detail in rep.violations:
-        lines.append(f"    violation {word}: {detail}")
-    for word, detail in rep.flagged:
-        lines.append(f"    flagged {word}: {detail}")
-    for word in rep.skipped:
-        lines.append(f"    skipped {word}")
+    lines += [f"    violation {word}: {detail}" for word, detail in rep.violations]
+    lines += [f"    flagged {word}: {detail}" for word, detail in rep.flagged]
+    lines += [f"    skipped {word}" for word in rep.skipped]
     return lines
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = verify.run_suite(_sweep_config(args))
     skipped = sum(len(r.skipped) for r in suite.reports)
-    if args.format == "json":
-        print(suite.to_json())
-    elif args.format == "csv":
-        rows = [
-            [
-                r.check_id,
-                r.words_tested,
-                len(r.violations),
-                "" if r.max_ratio is None else str(r.max_ratio),
-                r.witness or "",
-            ]
-            for r in suite.reports
-        ]
-        _emit_csv(rows, ["check", "words", "violations", "max_ratio", "witness"])
+    if not suite.passed:
+        verdict = f"{suite.violations_total} violation(s)"
+    elif skipped:
+        verdict = f"incomplete: {skipped} word(s) skipped"
     else:
-        for rep in suite.reports:
-            print("\n".join(_report_lines(rep)))
-        if not suite.passed:
-            print(f"{suite.violations_total} violation(s)")
-        elif skipped:
-            print(f"incomplete: {skipped} word(s) skipped")
-        else:
-            print("all checks passed")
+        verdict = "all checks passed"
+    text = [line for rep in suite.reports for line in _report_lines(rep)] + [verdict]
+    rows = [[r.check_id, r.words_tested, len(r.violations),
+             "" if r.max_ratio is None else str(r.max_ratio), r.witness or ""]
+            for r in suite.reports]
+    header = ["check", "words", "violations", "max_ratio", "witness"]
+    _emit(args.format, suite.to_dict(), text, (header, rows))
     if not suite.passed:
         return 1
     return 3 if skipped else 0
@@ -250,21 +199,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         rep = verify.search_extremal(args.max_len, args.alphabet, args.budget, args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.format == "json":
-        _emit_json(rep.to_dict())
-    elif args.format == "csv":
-        _emit_csv(
-            [[rep.witness or "", str(rep.max_ratio), rep.stats["evaluations"]]],
-            ["witness", "ratio", "evaluations"],
-        )
-    else:
-        mode = "exhaustive" if rep.stats.get("exhaustive") else "hill-climbing"
-        print(
-            f"best {rep.witness}  Sq={rep.stats['best_count']}  ratio={rep.max_ratio}  "
-            f"({mode}, {rep.stats['evaluations']} evaluations)"
-        )
-        for word, detail in rep.violations:
-            print(f"violation {word}: {detail}")
+    mode = "exhaustive" if rep.stats.get("exhaustive") else "hill-climbing"
+    text = [
+        f"best {rep.witness}  Sq={rep.stats['best_count']}  ratio={rep.max_ratio}  "
+        f"({mode}, {rep.stats['evaluations']} evaluations)"
+    ]
+    text += [f"violation {word}: {detail}" for word, detail in rep.violations]
+    row = [rep.witness or "", str(rep.max_ratio), rep.stats["evaluations"]]
+    _emit(args.format, rep.to_dict(), text, (["witness", "ratio", "evaluations"], [row]))
     return 0 if rep.passed else 1
 
 
