@@ -722,15 +722,14 @@ _CHECK_DEFS = {
 
 
 def _iter_nonprimitive(k: int, n: int, canonicalize: bool) -> list[str]:
-    words: set[str] = set()
-    for l in range(1, n):
-        if n % l:
-            continue
-        e = n // l
-        for u in _level("necklace", k, l, canonicalize):
-            if is_primitive(u):
-                words.add(u * e)
-    return sorted(words)
+    # a word has one primitive root, so the proper powers below are distinct
+    return sorted(
+        u * (n // l)
+        for l in range(1, n)
+        if n % l == 0
+        for u in _level("necklace", k, l, canonicalize)
+        if is_primitive(u)
+    )
 
 
 def _level(stream: str, k: int, n: int, canonicalize: bool):

@@ -53,36 +53,10 @@ def rotations(w: str) -> list[str]:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def _least_rotation_index(w: str) -> int:
-    """Index ``k`` such that ``w[k:] + w[:k]`` is the least rotation of ``w``.
-
-    Booth's algorithm, O(n), on a word that is already validated.
-    Cross-checked against the naive minimum in the test suite.
-    """
-    doubled = w + w
-    n2 = len(doubled)
-    fail = [-1] * n2
-    k = 0
-    for j in range(1, n2):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
 def canonical_rotation(w: str) -> str:
     """The lexicographically least rotation of ``w``."""
-    k = _least_rotation_index(validate_word(w))
-    return w[k:] + w[:k]
+    validate_word(w)
+    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 @dataclass(frozen=True)
