@@ -11,10 +11,13 @@ the doubled-word listing.  Power factors come from one scan of the word's
 periodic runs: a power ``q ** k`` (``k >= 2``, ``q`` primitive) lies in a
 maximal ``|q|``-periodic run, and its presence implies ``q ** (k - 1)``, so a
 class keyed by the canonical rotation of its root is fully given by each
-conjugate's top exponent, with no primitivity test per factor.  The sweeps read those tops; :func:`class_decomposition` spells
-them out as validated :class:`PowerClass` member sets split by exponent
-parity, which only the CLI and the tests build; a primitivity test on every
-factor is kept as their oracle.
+conjugate's top exponent, with no primitivity test per factor.  Period 1,
+the root of most classes, is one pass over the letter runs; a longer run's
+conjugates are sliced once, for its root and its tops.  The sweeps read
+those tops; :func:`class_decomposition` spells them out as validated
+:class:`PowerClass` member sets split by exponent parity, which only the CLI
+and the tests build; a primitivity test on every factor is kept as their
+oracle.
 """
 
 from __future__ import annotations
@@ -184,23 +187,39 @@ def _class_tops(w: str) -> tuple[tuple[str, int, int, dict[str, int]], ...]:
     ``t`` of them, ``even`` with an even exponent.
 
     A factor ``q ** k`` with ``|q| = p`` lies in a maximal ``p``-periodic run
-    of length at least ``2p``.  For each period ``p`` in ascending order the
-    runs are ``w[a:b + p]`` for the maximal stretches ``[a, b)`` of positions
-    with ``w[j] == w[j + p]`` and ``b - a >= p``; probing every ``p``-th
-    position, restarting ``p`` past each stretch, hits every such stretch.  A
-    run's ``p``-prefix is primitive unless it has a shorter period, and then
-    the same interval was a run at that period already, so a repeated
-    interval is dropped.  A run is at least ``2p`` long, so its first ``p``
-    windows are every rotation of its ``p``-prefix, and the least of them is
-    the class root.  The conjugate at offset ``i`` of a run's first ``p``
-    reaches exponent ``(b + p - i) // p`` in it.  ``w`` must already be
+    of length at least ``2p``.  Period 1 is one pass over the letter runs: a
+    letter whose longest run has length ``k >= 2`` is the class
+    ``(c, k - 1, k // 2, {c: k})``.  For each longer period ``p`` in
+    ascending order the runs are ``w[a:b + p]`` for the maximal stretches
+    ``[a, b)`` of positions with ``w[j] == w[j + p]`` and ``b - a >= p``;
+    probing every ``p``-th position, restarting ``p`` past each stretch, hits
+    every such stretch.  A run's ``p``-prefix is primitive unless it has a
+    shorter period, and then the same interval was a run at that period
+    already (a letter run's interval included), so a repeated interval is
+    dropped.  A run is at least ``2p`` long, so its first ``p`` windows are
+    every rotation of its ``p``-prefix: they are sliced once, the least of
+    them is the class root, and the conjugate at offset ``i`` of them reaches
+    exponent ``(b + p - a - i) // p`` in the run.  A period's classes are
+    grouped and sorted only when it has a run.  ``w`` must already be
     validated.
     """
     n = len(w)
     seen: set[tuple[int, int]] = set()
-    classes = []
-    for p in range(1, n // 2 + 1):
-        groups: dict[str, dict[str, int]] = {}  # canonical root -> conjugate -> top
+    letter_tops: dict[str, int] = {}
+    a = 0
+    while a < n - 1:
+        c = w[a]
+        e = a + 1
+        while e < n and w[e] == c:
+            e += 1
+        if e - a > 1:
+            seen.add((a, e))
+            if e - a > letter_tops.get(c, 0):
+                letter_tops[c] = e - a
+        a = e
+    classes = [(c, k - 1, k // 2, {c: k}) for c, k in sorted(letter_tops.items())]
+    for p in range(2, n // 2 + 1):
+        groups: dict[str, dict[str, int]] | None = None  # canonical root -> conjugate -> top
         last = n - p  # w[j + p] exists for j < last
         j = p - 1
         while j < last:
@@ -217,14 +236,17 @@ def _class_tops(w: str) -> tuple[tuple[str, int, int, dict[str, int]], ...]:
             if b - a < p or (a, e) in seen:
                 continue
             seen.add((a, e))
-            # a one-letter root is its own least rotation
-            root = w[a] if p == 1 else min(w[i : i + p] for i in range(a, a + p))
-            tops = groups.setdefault(root, {})
-            for i in range(a, min(a + p, b - p + 1)):
-                q = w[i : i + p]
-                k = (e - i) // p
+            conjugates = [w[i : i + p] for i in range(a, a + p)]
+            if groups is None:
+                groups = {}
+            tops = groups.setdefault(min(conjugates), {})
+            for i in range(min(p, b - p + 1 - a)):
+                q = conjugates[i]
+                k = (e - a - i) // p
                 if k > tops.get(q, 0):
                     tops[q] = k
+        if groups is None:
+            continue
         for root in sorted(groups):
             tops = groups[root]
             t = even = 0

@@ -378,6 +378,12 @@ class CheckReport:
         if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
             self.max_ratio, self.witness = ratio, word
 
+    def _offer_count(self, s: int, n: int, word: str) -> None:
+        # _offer_witness of the ratio s/n, with the Fraction built only when it wins
+        r = self.max_ratio
+        if r is None or s * r.denominator > r.numerator * n:
+            self.max_ratio, self.witness = Fraction(s, n), word
+
     def to_dict(self) -> dict:
         return {
             "check": self.check_id,
@@ -431,7 +437,7 @@ class SuiteReport:
 def _eval_bound_5_3(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     s = _square_count(w)
-    rep._offer_witness(Fraction(s, n), w)
+    rep._offer_count(s, n, w)
     if 3 * s > 5 * n:
         rep.violations.append((w, f"Sq={s} exceeds 5n/3 with n={n}"))
     if 2 * s > 3 * n:
@@ -442,7 +448,7 @@ def _eval_bound_5_3(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
 def _eval_bound_nonprimitive(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     s = _square_count(w)
-    rep._offer_witness(Fraction(s, n), w)
+    rep._offer_count(s, n, w)
     if 2 * s > 3 * n:
         rep.violations.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
 
@@ -454,11 +460,12 @@ def _is_elementary_closed_walk(c: list[int], head: list[int], tail: list[int]) -
 
 
 # Distinct graphs the memo keeps, one key space for every graph check.  The
-# words of a level share most of their graphs: a cold circuit-rank sweep at
-# (3,8) misses 664 of 3,740 lookups, and count-chain's doubled necklaces hold
-# 326 graphs among 2,035 circuit-bearing orders at (2,11), 580 among 4,075 at
-# (2,12) and 552 among 4,975 at (3,9).
-_GRAPH_MEMO = 1024
+# words of a level share most of their graphs: circuit-rank looks up 2,628
+# graphs on the (3,8) level, 662 of them distinct, and 39,834 over a sweep to
+# (3,10), 4,683 distinct, all of which fit (at 1,024 that sweep missed 8,512).
+# count-chain's doubled necklaces hold 326 graphs among 2,035 circuit-bearing
+# orders at (2,11), 580 among 4,075 at (2,12) and 552 among 4,975 at (3,9).
+_GRAPH_MEMO = 8192
 
 
 @lru_cache(maxsize=_GRAPH_MEMO)
@@ -518,15 +525,25 @@ def _class_reach(w: str, p: str) -> int:
     """The largest ``L <= len(w)`` such that all ``len(p)`` windows of length ``L``
     of ``p`` repeated forever are factors of ``w``.
 
-    A window's prefixes are windows too, so ``L`` only shrinks from offset to
-    offset.  For primitive ``p`` and an order ``o >= len(p)`` the class
-    circuit of ``p`` at ``o`` has ``len(p)`` distinct vertices, and it lies in
-    the factor graph of ``w`` exactly when ``o + 1 <= reach``: one reach per
-    class answers every order.  ``w`` is trusted and ``p`` is a class root.
+    A window occurs only if all its prefixes do, so the first window's reach
+    is found by bisection over ``[0, len(w)]``.  ``L`` only shrinks from
+    offset to offset, so at the other offsets it counts down from there.
+    The reach is not seeded from the class's tops, whose prediction
+    class-circuits checks against it.  For primitive ``p`` and an
+    order ``o >= len(p)`` the class circuit of ``p`` at ``o`` has ``len(p)``
+    distinct vertices, and it lies in the factor graph of ``w`` exactly when
+    ``o + 1 <= reach``: one reach per class answers every order.  ``w`` is
+    trusted and ``p`` is a class root.
     """
-    reach = len(w)
-    ext = p * (reach // len(p) + 2)
-    for i in range(len(p)):
+    ext = p * (len(w) // len(p) + 2)
+    reach, hi = 0, len(w)
+    while reach < hi:
+        mid = (reach + hi + 1) // 2
+        if ext[:mid] in w:
+            reach = mid
+        else:
+            hi = mid - 1
+    for i in range(1, len(p)):
         while reach and ext[i : i + reach] not in w:
             reach -= 1
     return reach

@@ -18,6 +18,26 @@ def naive_least_rotation(w: str) -> str:
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 
+def lyndon_least_rotation(w: str) -> str:
+    """The least rotation of ``w`` from Duval's Lyndon factorization of ``w + w``.
+
+    Each pass of the outer loop finds the next Lyndon factor (repeated) from
+    ``i``; the least rotation starts at the last factor that begins in the
+    first copy of ``w``.  No rotation is compared with another.
+    """
+    s, n = w + w, len(w)
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start : start + n]
+
+
 def naive_is_primitive(w: str) -> bool:
     n = len(w)
     for d in range(1, n):
@@ -102,6 +122,17 @@ def naive_circuits(graph) -> set[tuple[str, ...]]:
     for s in sorted(graph.vertices):
         extend([s], s)
     return found
+
+
+def linear_class_reach(w: str, p: str) -> int:
+    """The largest ``L <= len(w)`` such that every length-``L`` window of ``p``
+    repeated forever is a factor of ``w``, counted down one length at a time."""
+    reach = len(w)
+    ext = p * (reach // len(p) + 2)
+    for i in range(len(p)):
+        while reach and ext[i : i + reach] not in w:
+            reach -= 1
+    return reach
 
 
 def contains_class_circuit(w: str, p: str, l: int) -> bool:

@@ -163,6 +163,11 @@ def test_class_tops_match_brute_force_exhaustively():
     words += [w for n in range(1, 9) for w in words_over(3, n)]
     words += [w + w for n in range(1, 9) for w in words_over(2, n)]
     words += [w + w for n in range(1, 6) for w in words_over(3, n)]
+    # and longer words, with more periods and longer letter runs
+    rng = random.Random(23)
+    for _ in range(2000):
+        alphabet = "abcd"[: rng.randint(2, 4)]
+        words.append("".join(rng.choice(alphabet) for _ in range(rng.randint(11, 20))))
     for w in words:
         assert list(_class_tops(w)) == _brute_class_tops(w), w
 
@@ -170,6 +175,9 @@ def test_class_tops_match_brute_force_exhaustively():
 def test_class_tops_named_cases():
     # at p = 2 the run (0, 4) repeats the p = 1 interval: its prefix "aa" is no root
     assert _class_tops("aaaa") == (("a", 3, 2, {"a": 4}),)
+    # a letter's class is its longest run, "aaa", whatever runs it has before
+    assert _class_tops("aabaaab") == (("a", 2, 1, {"a": 3}),)
+    assert _class_tops("bbaaab") == (("a", 2, 1, {"a": 3}), ("b", 1, 1, {"b": 2}))
     # the class of "ab" is fed by two runs, "abab" and "babab"; "ba" by the second only
     assert _class_tops("ababbabab") == (
         ("b", 1, 1, {"b": 2}),

@@ -32,6 +32,7 @@ from conftest import (
     brute_extremal,
     contains_class_circuit,
     fraction_rank,
+    linear_class_reach,
     naive_circuits,
     small_circuit_total,
     window_split_point,
@@ -533,6 +534,33 @@ def test_class_reach_matches_contains_class_circuit_at_every_order():
                     for order in range(len(p), n):
                         realized = contains_class_circuit(w, p, order)
                         assert (order + 1 <= reach) == realized, (w, p, order)
+
+
+def test_class_reach_matches_the_countdown():
+    # the bisection of the first window against one-step countdowns at every
+    # offset, on each class root and on short roots that may not occur at all
+    from circsq.squares import _class_tops
+    from circsq.verify import _class_reach
+
+    short = {
+        k: [p for m in range(1, 4) for p in words_over(k, m) if is_primitive(p)] for k in (2, 3, 4)
+    }
+
+    def roots_of(w, k):
+        return [p for p, _, _, _ in _class_tops(w)] + short[k]
+
+    for n in range(1, 13):
+        for u in _level("necklace", 2, n, True):
+            if is_primitive(u):
+                w = u + u
+                for p in roots_of(w, 2):
+                    assert _class_reach(w, p) == linear_class_reach(w, p), (w, p)
+    rng = random.Random(24)
+    for _ in range(2000):
+        k = rng.randint(2, 4)
+        w = "".join(rng.choice("abcd"[:k]) for _ in range(rng.randint(11, 24)))
+        for p in roots_of(w, k):
+            assert _class_reach(w, p) == linear_class_reach(w, p), (w, p)
 
 
 def _power_class(root, tops):

@@ -15,7 +15,7 @@ from circsq.words import (
     validate_word,
 )
 
-from conftest import naive_is_primitive, naive_least_rotation, words_over
+from conftest import lyndon_least_rotation, naive_is_primitive, words_over
 
 
 P3 = "abacabacabac"
@@ -37,10 +37,13 @@ def test_canonical_rotation_examples():
     assert canonical_rotation("cab") == "abc"
 
 
-def test_canonical_rotation_matches_naive_exhaustively():
-    for n in range(1, 9):
-        for w in words_over(3, n):
-            assert canonical_rotation(w) == naive_least_rotation(w), w
+def test_canonical_rotation_matches_lyndon_oracle_exhaustively():
+    # Duval's factorization never compares two rotations, so it checks the
+    # min over rotations from outside
+    words = [w for n in range(1, 9) for w in words_over(3, n)]
+    words += [w for n in range(9, 15) for w in words_over(2, n)]
+    for w in words:
+        assert canonical_rotation(w) == lyndon_least_rotation(w), w
 
 
 def test_canonical_rotation_stable_across_rotations():
