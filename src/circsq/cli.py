@@ -13,12 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import rauzy, squares, verify, words
-
-_ENV_CHECKPOINT = "CIRCSQ_CHECKPOINT"
 
 
 class _UsageError(Exception):
@@ -143,7 +140,6 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _sweep_config(args: argparse.Namespace) -> verify.SweepConfig:
-    checkpoint = os.environ.get(_ENV_CHECKPOINT) or args.checkpoint
     try:
         checks = verify.resolve_checks(args.check)
         return verify.SweepConfig(
@@ -151,7 +147,7 @@ def _sweep_config(args: argparse.Namespace) -> verify.SweepConfig:
             max_length=args.max_len,
             checks=checks,
             canonicalize=not args.no_canonicalize,
-            checkpoint_path=checkpoint,
+            checkpoint_path=args.checkpoint,
             seed=args.seed,
             jobs=args.jobs,
             circuit_cap=args.budget,
@@ -260,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget", type=int, default=rauzy.DEFAULT_CIRCUIT_CAP,
                           help="circuit enumeration cap per graph")
     p_verify.add_argument("--checkpoint", default=None,
-                          help=f"progress file (env {_ENV_CHECKPOINT} overrides)")
+                          help="progress file")
     p_verify.add_argument("--no-canonicalize", action="store_true",
                           help="enumerate raw words instead of canonical ones")
     add_format(p_verify, ("text", "json", "csv"))

@@ -26,7 +26,10 @@ search and wraps each found edge-id list as a :class:`Circuit`.  The module
 also computes traversal vectors and the exact rational rank of every
 prefix of a list of them in one elimination routine, ``_prefix_ranks``
 (:func:`independent_rank` is its last value), and analyses how the circuit
-family of a primitive word splits at low orders.
+family of a primitive word splits at low orders.  ``_graph_facts`` reads
+from one code string every fact the graph checks need; no code string is
+decoded outside this module.  Nothing here is memoized: the memos that
+share these facts between the checks of a sweep live in :mod:`circsq.verify`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .words import canonical_rotation, is_primitive, validate_word
@@ -403,6 +405,39 @@ def _prefix_ranks(rows: Sequence[Sequence[int]], bound: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _is_elementary_closed_walk(c: list[int], head: list[int], tail: list[int]) -> bool:
+    """True when edge ids ``c`` visit no vertex twice and each leaves the previous one's head."""
+    heads = [head[e] for e in c]
+    return len(set(heads)) == len(c) and [tail[e] for e in c] == heads[-1:] + heads[:-1]
+
+
+def _graph_facts(
+    size: int, codes: str, cap: int
+) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
+    """``(lengths, ranks, closed)`` of an integer factor graph, or ``None`` past ``cap``.
+
+    The graph is ``(size, codes)`` as :func:`_index_graphs` yields it;
+    ``lengths`` are its circuit lengths, sorted, ``ranks[j]`` the rational
+    rank of the ``j`` shortest circuits and ``closed`` whether every circuit
+    is an elementary closed walk.  The arguments hold neither the order nor
+    the word, so a memo keyed on them reads back any graph already searched.
+    """
+    head, edges_out = _unpack(size, codes)
+    try:
+        circuits = _circuit_edges(head, edges_out, size, cap)
+    except CircuitCapExceeded:
+        return None
+    circuits.sort(key=len)
+    tail = [code // size for code in map(ord, codes)]
+    closed = all(_is_elementary_closed_walk(c, head, tail) for c in circuits)
+    # An elementary closed walk lies in the cycle space, whose dimension is
+    # chi = |E| - |V| + 1 since the graph is weakly connected: the guard
+    # bounds every rank by chi, so the elimination may stop there.
+    bound = len(head) - size + 1 if closed else len(head)
+    ranks = _prefix_ranks(_edge_vectors(circuits, len(head)), bound)
+    return tuple(map(len, circuits)), ranks, closed
+
+
 def split_point(p: str) -> int | None:
     """The largest order at which the circuit family of ``p`` is not elementary.
 
@@ -414,9 +449,7 @@ def split_point(p: str) -> int | None:
     two rotations, and the longest such prefix is found between neighbours
     once the rotations are sorted.  The rotations of a primitive ``p`` are
     distinct, so each common prefix is shorter than ``p`` and equals that of
-    the two rotations repeated forever.  The last word's answer is memoized,
-    so :func:`decompose_split` and the checks that read one word's split
-    point find it once.
+    the two rotations repeated forever.
     """
     validate_word(p)
     if not is_primitive(p):
@@ -424,7 +457,6 @@ def split_point(p: str) -> int | None:
     return _split_point(p)
 
 
-@lru_cache(maxsize=1)
 def _split_point(p: str) -> int | None:
     """:func:`split_point` of a word already validated as primitive."""
     l = len(p)
@@ -445,8 +477,7 @@ def decompose_split(p: str, m: int) -> list[Circuit]:
     ``m`` must be the split point of ``p``.  The periodic walk of ``p`` is
     followed for one period from the canonical rotation; every time a window
     repeats, the enclosed stretch is popped as one elementary circuit.  The
-    circuit lengths always sum to ``len(p)``.  The last word's circuits are
-    memoized, like its split point.
+    circuit lengths always sum to ``len(p)``.
     """
     actual = split_point(p)
     if actual != m:
@@ -454,7 +485,6 @@ def decompose_split(p: str, m: int) -> list[Circuit]:
     return list(_split_circuits(p, m))
 
 
-@lru_cache(maxsize=1)
 def _split_circuits(p: str, m: int) -> tuple[Circuit, ...]:
     """:func:`decompose_split` of a primitive word at its split point ``m``."""
     base = canonical_rotation(p)

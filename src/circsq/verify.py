@@ -75,17 +75,7 @@ from string import ascii_lowercase
 from typing import Callable
 
 from . import rauzy
-from .rauzy import (
-    _MAX_CODED_VERTICES,
-    DEFAULT_CIRCUIT_CAP,
-    CircuitCapExceeded,
-    _circuit_edges,
-    _edge_vectors,
-    _index_graphs,
-    _prefix_ranks,
-    _unpack,
-    circuit_root,
-)
+from .rauzy import _MAX_CODED_VERTICES, DEFAULT_CIRCUIT_CAP, _index_graphs, circuit_root
 from .squares import (
     _circular_square_count,
     _class_tops,
@@ -272,11 +262,25 @@ def circular_square_count(w: str) -> int:
     return _circular_square_count(validate_word(w))
 
 
-# One-entry memos of facts that several checks of a stream read, word by word.
-# They look the module-level names up per call, so a wrapper installed there
-# still sees every computation.
+# Every memo of the package.  The one-entry memos hold facts that several
+# checks of a stream read, word by word; the graph memo holds the facts of
+# the graphs a sweep's words share.  Each looks its function up per call, so
+# a wrapper or patch installed there still sees every computation.
 _square_count = lru_cache(maxsize=1)(lambda w: circular_square_count(w))
 _classes = lru_cache(maxsize=1)(lambda w: _class_tops(w))
+_split_point = lru_cache(maxsize=1)(lambda p: rauzy._split_point(p))
+_split_circuits = lru_cache(maxsize=1)(lambda p, m: rauzy._split_circuits(p, m))
+
+# Distinct graphs the memo keeps, one key space for every graph check.  The
+# words of a level share most of their graphs: circuit-rank looks up 2,628
+# graphs on the (3,8) level, 662 of them distinct, and 39,834 over a sweep to
+# (3,10), 4,683 distinct, all of which fit (at 1,024 that sweep missed 8,512).
+# count-chain's doubled necklaces hold 326 graphs among 2,035 circuit-bearing
+# orders at (2,11), 580 among 4,075 at (2,12) and 552 among 4,975 at (3,9).
+_GRAPH_MEMO = 8192
+_graph_facts = lru_cache(maxsize=_GRAPH_MEMO)(
+    lambda size, codes, cap: rauzy._graph_facts(size, codes, cap)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +372,16 @@ class CheckReport:
         self.violations.extend(other.violations)
         self.flagged.extend(other.flagged)
         self.skipped.extend(other.skipped)
-        self._offer_witness(other.max_ratio, other.witness)
+        r = other.max_ratio
+        if r is not None:
+            self._offer(r.numerator, r.denominator, other.witness)
         for key, val in other.stats.items():
             self.count(key, val)
 
-    def _offer_witness(self, ratio: Fraction | None, word: str | None) -> None:
-        # Only a strictly greater ratio replaces the witness, so the first
-        # witness in stream order wins and --jobs N agrees with --jobs 1.
-        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
-            self.max_ratio, self.witness = ratio, word
-
-    def _offer_count(self, s: int, n: int, word: str) -> None:
-        # _offer_witness of the ratio s/n, with the Fraction built only when it wins
+    def _offer(self, s: int, n: int, word: str) -> None:
+        # Only a strictly greater ratio s/n replaces the witness, so the first
+        # witness in stream order wins and --jobs N agrees with --jobs 1; the
+        # Fraction is built only when it wins.
         r = self.max_ratio
         if r is None or s * r.denominator > r.numerator * n:
             self.max_ratio, self.witness = Fraction(s, n), word
@@ -437,7 +439,7 @@ class SuiteReport:
 def _eval_bound_5_3(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     s = _square_count(w)
-    rep._offer_count(s, n, w)
+    rep._offer(s, n, w)
     if 3 * s > 5 * n:
         rep.violations.append((w, f"Sq={s} exceeds 5n/3 with n={n}"))
     if 2 * s > 3 * n:
@@ -448,52 +450,9 @@ def _eval_bound_5_3(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
 def _eval_bound_nonprimitive(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
     n = len(w)
     s = _square_count(w)
-    rep._offer_count(s, n, w)
+    rep._offer(s, n, w)
     if 2 * s > 3 * n:
         rep.violations.append((w, f"Sq={s} exceeds 3n/2 with n={n}"))
-
-
-def _is_elementary_closed_walk(c: list[int], head: list[int], tail: list[int]) -> bool:
-    """True when edge ids ``c`` visit no vertex twice and each leaves the previous one's head."""
-    heads = [head[e] for e in c]
-    return len(set(heads)) == len(c) and [tail[e] for e in c] == heads[-1:] + heads[:-1]
-
-
-# Distinct graphs the memo keeps, one key space for every graph check.  The
-# words of a level share most of their graphs: circuit-rank looks up 2,628
-# graphs on the (3,8) level, 662 of them distinct, and 39,834 over a sweep to
-# (3,10), 4,683 distinct, all of which fit (at 1,024 that sweep missed 8,512).
-# count-chain's doubled necklaces hold 326 graphs among 2,035 circuit-bearing
-# orders at (2,11), 580 among 4,075 at (2,12) and 552 among 4,975 at (3,9).
-_GRAPH_MEMO = 8192
-
-
-@lru_cache(maxsize=_GRAPH_MEMO)
-def _graph_facts(
-    size: int, codes: str, cap: int
-) -> tuple[tuple[int, ...], tuple[int, ...], bool] | None:
-    """``(lengths, ranks, closed)`` of an integer factor graph, or ``None`` past ``cap``.
-
-    The graph is ``(size, codes)`` as :func:`circsq.rauzy._index_graphs`
-    yields it; ``lengths`` are its circuit lengths, sorted, ``ranks[j]`` the
-    rational rank of the ``j`` shortest circuits and ``closed`` whether every
-    circuit is an elementary closed walk.  The key holds neither the order
-    nor the word, so every check reads back any graph already searched.
-    """
-    head, edges_out = _unpack(size, codes)
-    try:
-        circuits = _circuit_edges(head, edges_out, size, cap)
-    except CircuitCapExceeded:
-        return None
-    circuits.sort(key=len)
-    tail = [code // size for code in map(ord, codes)]
-    closed = all(_is_elementary_closed_walk(c, head, tail) for c in circuits)
-    # An elementary closed walk lies in the cycle space, whose dimension is
-    # chi = |E| - |V| + 1 since the graph is weakly connected: the guard
-    # bounds every rank by chi, so the elimination may stop there.
-    bound = len(head) - size + 1 if closed else len(head)
-    ranks = _prefix_ranks(_edge_vectors(circuits, len(head)), bound)
-    return tuple(map(len, circuits)), ranks, closed
 
 
 def _eval_circuit_rank(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
@@ -610,7 +569,7 @@ def _eval_class_parity(w: str, cfg: SweepConfig, rep: CheckReport) -> None:
 
 
 def _eval_splits(p: str, cfg: SweepConfig, rep: CheckReport) -> None:
-    m = rauzy._split_point(p)  # a primitive sweep word: no revalidation
+    m = _split_point(p)  # a primitive sweep word: no revalidation
     if m is None:
         rep.count("never_splits")
         return
@@ -618,7 +577,7 @@ def _eval_splits(p: str, cfg: SweepConfig, rep: CheckReport) -> None:
     if m > l - 2:
         rep.violations.append((p, f"splits at {m}, within one of the root length {l}"))
         return
-    parts = rauzy._split_circuits(p, m)
+    parts = _split_circuits(p, m)
     lengths = [c.length for c in parts]
     if sum(lengths) != l:
         rep.violations.append((p, f"split lengths {lengths} do not sum to {l}"))
@@ -644,23 +603,23 @@ def _classify_case(w: str) -> tuple[str, tuple[int, int]]:
     Returns a label and ``(a, b)`` such that the word must satisfy
     ``a * Sq <= b * n``.  Ties on the n/2 and n/4 thresholds go to the
     stricter bound.  ``w`` is a primitive sweep word, and so is each circuit
-    root, so split points and circuits come straight from the memos of
-    :mod:`circsq.rauzy`, looked up there per call, without revalidation.
+    root, so split points and circuits come straight from this module's
+    split memos, without revalidation.
     """
     n = len(w)
-    m = rauzy._split_point(w)
+    m = _split_point(w)
     if m is None or 2 * m <= n:
         return "case1", (2, 3)
-    parts = rauzy._split_circuits(w, m)
+    parts = _split_circuits(w, m)
     if len(parts) > 2:
         return _case_by_root(min(c.length for c in parts), n)
     parts = sorted(parts, key=lambda c: (-c.length, c.edges))
     q1 = circuit_root(parts[0])
     q2_len = parts[1].length
-    m1 = rauzy._split_point(q1)
+    m1 = _split_point(q1)
     if m1 is None or 2 * m1 <= n:
         return "case1", (2, 3)
-    lengths = [c.length for c in rauzy._split_circuits(q1, m1)] + [q2_len]
+    lengths = [c.length for c in _split_circuits(q1, m1)] + [q2_len]
     return _case_by_root(min(lengths), n)
 
 

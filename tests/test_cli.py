@@ -1,4 +1,4 @@
-"""Command-line interface: formats, exit codes, env overrides."""
+"""Command-line interface: formats and exit codes."""
 
 import argparse
 import csv
@@ -598,20 +598,6 @@ def test_verify_keeps_the_checkpoint_under_jobs(capsys, tmp_path):
     assert run_cli(capsys, *args) == (0, out, "")
 
 
-def test_verify_env_checkpoint_override(capsys, tmp_path, monkeypatch):
-    env_path = tmp_path / "env.ck"
-    flag_path = tmp_path / "flag.ck"
-    monkeypatch.setenv("CIRCSQ_CHECKPOINT", str(env_path))
-    code, _, _ = run_cli(
-        capsys,
-        "verify", "--check", "bound-5-3", "--max-len", "4",
-        "--checkpoint", str(flag_path),
-    )
-    assert code == 0
-    assert env_path.exists()
-    assert not flag_path.exists()
-
-
 def _holds_open_record(path: Path, key: str) -> bool:
     """True when ``path`` has a whole record line for ``key`` with ``"done": false``."""
     try:
@@ -621,10 +607,9 @@ def _holds_open_record(path: Path, key: str) -> bool:
     return any(line.startswith(key) and '"done": false' in line for line in lines)
 
 
-def test_killed_sweep_resumes_to_the_uninterrupted_report(capsys, tmp_path, monkeypatch):
+def test_killed_sweep_resumes_to_the_uninterrupted_report(capsys, tmp_path):
     # One real child sweep is killed partway through its last level, right
     # after a periodic record; the same command then finishes it in-process.
-    monkeypatch.delenv("CIRCSQ_CHECKPOINT", raising=False)
     path = tmp_path / "progress.txt"
     base = ["verify", "--check", "circuit-rank", "--alphabet", "3", "--max-len", "11",
             "--budget", "1", "--format", "json"]

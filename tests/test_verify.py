@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from circsq import verify
+from circsq import rauzy, verify
 from circsq.verify import (
     CHECK_ORDER,
     LARGE_CIRCUIT_INSTANCES,
@@ -362,11 +362,11 @@ def test_circuit_rank_reports_a_walk_that_does_not_close(monkeypatch):
 
     # the unmemoized facts run the patched search and leave the memo alone
     monkeypatch.setattr(verify, "_graph_facts", verify._graph_facts.__wrapped__)
-    monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 1]])
+    monkeypatch.setattr(rauzy, "_circuit_edges", lambda head, out, size, cap: [[0, 1]])
     out = _evaluate(_eval_circuit_rank, "aab")
     assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
     # a walk that closes but passes a vertex twice is no circuit either
-    monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0, 0]])
+    monkeypatch.setattr(rauzy, "_circuit_edges", lambda head, out, size, cap: [[0, 0]])
     out = _evaluate(_eval_circuit_rank, "aab")
     assert out.violations == [("aab", "a circuit at order 1 is not an elementary closed walk")]
 
@@ -460,7 +460,7 @@ def test_graph_facts_rank_every_prefix_of_the_circuit_family(monkeypatch):
     # walks that do not close may span more than chi, so the elimination
     # runs to the end: "aab" at order 1 has chi 1, and its edges a -> a and
     # a -> b, passed off as two circuits, have rank 2
-    monkeypatch.setattr(verify, "_circuit_edges", lambda head, out, size, cap: [[0], [1]])
+    monkeypatch.setattr(rauzy, "_circuit_edges", lambda head, out, size, cap: [[0], [1]])
     (_, size, codes), = _index_graphs("aab", range(1, 2))
     assert verify._graph_facts.__wrapped__(size, codes, 1) == ((1, 1), (0, 1, 2), False)
 
@@ -687,30 +687,30 @@ def test_case_classification_split_routes():
 def test_case_classification_matches_the_window_set_split_point(monkeypatch):
     # every primitive binary necklace to 14, classified once with the sorted
     # rotations and once with split points grown window set by window set
-    from circsq import rauzy
     from circsq.verify import _classify_case, _iter_necklaces
 
     words = [w for n in range(1, 15) for w in _iter_necklaces(2, n) if is_primitive(w)]
     expected = [_classify_case(w) for w in words]
-    rauzy._split_circuits.cache_clear()
+    verify._split_point.cache_clear()
+    verify._split_circuits.cache_clear()
     asked = set()
     monkeypatch.setattr(rauzy, "_split_point", lambda p: asked.add(p) or window_split_point(p))
     assert [_classify_case(w) for w in words] == expected
     assert asked.issuperset(words)  # the classification reads the patched route
-    rauzy._split_circuits.cache_clear()
+    verify._split_point.cache_clear()
+    verify._split_circuits.cache_clear()
 
 
 def test_split_checks_share_one_split_memo(monkeypatch):
     # splits and case-bounds read one word's split point and circuits once,
     # straight from the memos: the sweeps skip split_point's validation
-    from circsq import rauzy
     from circsq.verify import _eval_case_bounds, _eval_splits
 
     def revalidated(p):
         raise AssertionError(f"a sweep revalidated {p!r}")
 
     monkeypatch.setattr(rauzy, "is_primitive", revalidated)
-    point, circuits = rauzy._split_point, rauzy._split_circuits
+    point, circuits = verify._split_point, verify._split_circuits
     point.cache_clear()
     circuits.cache_clear()
     p = "aabaabaabab"  # splits at 9 into circuits of 3 and 8, then at 6 on the 8-root
@@ -1191,7 +1191,6 @@ def test_checkpoint_kept_with_jobs(tmp_path):
 def test_checkpoint_under_jobs(tmp_path, monkeypatch, capsys):
     # a --jobs 2 sweep writes a v3 file that reruns under one job or two
     # report identically, and the CLI warns about nothing
-    monkeypatch.delenv("CIRCSQ_CHECKPOINT", raising=False)
     path = tmp_path / "jobs.txt"
     base = ["verify", "--check", "all", "--max-len", "7", "--budget", "1", "--format", "json"]
     for jobs in ("2", "1", "2"):
@@ -1273,6 +1272,21 @@ def test_all_lists_only_real_names():
         assert [n for n in names if not hasattr(module, n)] == [], module.__name__
 
 
+def test_every_memo_lives_in_verify():
+    # the layer modules compute afresh; the memos that share a word's facts
+    # between the checks of a sweep are verify's, sized to the sweeps' traffic
+    from circsq import squares, words
+
+    def memos(module):
+        return {name for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+
+    for module in (words, squares, rauzy):
+        assert memos(module) == set(), module.__name__
+    assert memos(verify) == {
+        "_square_count", "_classes", "_split_point", "_split_circuits", "_graph_facts"
+    }
+
+
 def test_report_json_roundtrip():
     rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 5))
     data = rep.to_dict()
@@ -1289,6 +1303,21 @@ def test_report_for_config_echo():
     assert rep.alphabet_size == 3
     assert rep.max_length == 9
     assert rep.seed == 5
+
+
+def test_witness_moves_only_on_a_strictly_greater_ratio():
+    # the first witness in stream order keeps an equal ratio, offered or merged
+    rep = CheckReport.for_config("probe", SweepConfig())
+    rep._offer(2, 4, "aabb")
+    rep._offer(3, 6, "aaabbb")
+    assert (rep.max_ratio, rep.witness) == (Fraction(1, 2), "aabb")
+    rep._offer(4, 7, "aabaabb")
+    assert (rep.max_ratio, rep.witness) == (Fraction(4, 7), "aabaabb")
+    tie = CheckReport.for_config("probe", SweepConfig())
+    tie._offer(8, 14, "aabaabbaabaabb")
+    rep.merge(tie)
+    rep.merge(CheckReport.for_config("probe", SweepConfig()))
+    assert (rep.max_ratio, rep.witness) == (Fraction(4, 7), "aabaabb")
 
 
 # ---------------------------------------------------------------------------
