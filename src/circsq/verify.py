@@ -50,13 +50,13 @@ count circular squares with the bit-parallel kernel of :mod:`circsq.squares`;
 ``class-parity`` compares its even-power totals with linear squares listed by
 the naive scan, a route independent of that kernel.  The checks that read
 one word stream share its one pass per length, which the parent enumerates
-and feeds in ordered chunks, in process or to one pool per suite, and
-compute a shared fact once per word.  A sweep can checkpoint, at one cadence
-under any number of jobs, to a line-oriented file whose v3 header
-fingerprints its config.  Each per-word evaluator writes straight into the
-:class:`CheckReport` of the chunk it sweeps: it appends violations, flagged
-entries and a word its circuit cap skipped, offers its ratio as the witness,
-and adds to stats through :meth:`CheckReport.count`.  Chunks, restored
+into its suite's one ordered feed of chunks, swept in process or by one
+pool, and compute a shared fact once per word.  A sweep can checkpoint, at
+one cadence under any number of jobs, to a line-oriented file whose v3
+header fingerprints its config.  Each per-word evaluator writes straight
+into the :class:`CheckReport` of the chunk it sweeps: it appends violations,
+flagged entries and a word its circuit cap skipped, offers its ratio as the
+witness, and adds to stats through :meth:`CheckReport.count`.  Chunks, restored
 levels and built-in instances are all :class:`CheckReport` values folded by
 :meth:`CheckReport.merge`.
 """
@@ -70,7 +70,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import groupby, islice, product
+from operator import itemgetter
 from string import ascii_lowercase
 from typing import Callable
 
@@ -772,11 +773,12 @@ class _Checkpoint:
     mid-write resumes to the uninterrupted report; a payload that is not a
     JSON object holding every record key, each with a value of its type, is
     skipped like a torn one.  Only the parent process reads and writes the
-    file: a record per open check every ``_CHECKPOINT_FLUSH_EVERY`` words of a
-    level's stream and one when the level is done, so the file is the same
-    under any number of jobs and resumes under any number.  It is read once
-    and written through one handle flushed per record; I/O problems are
-    counted and silence further writes, and the sweep continues.
+    file: :func:`run_suite` restores every level before it feeds the first
+    word, then writes a record per open check every ``_CHECKPOINT_FLUSH_EVERY``
+    words of a level's stream and one when the level is done, so the file is
+    the same under any number of jobs and resumes under any number.  It is
+    read once and written through one handle flushed per record; I/O problems
+    are counted and silence further writes, and the sweep continues.
     """
 
     def __init__(self, cfg: SweepConfig) -> None:
@@ -888,13 +890,15 @@ class _Checkpoint:
 # runners
 
 
-def _run_block(args: tuple) -> tuple[dict, dict, int]:
-    """Sweep ``args = (stream, cfg, n, last, words)``; return ``(parts, ends, len(words))``.
+def _run_block(args: tuple) -> tuple[str, int, dict, dict, int]:
+    """Sweep ``args = (stream, cfg, n, last, words)``; return ``(stream, n, parts, ends, size)``.
 
     Each check ``cid`` in ``last`` folds the words of the chunk after ``last[cid]``
-    into a fresh ``parts[cid]``, and ``ends[cid]`` is the last one, if any.
+    into a fresh ``parts[cid]``, and ``ends[cid]`` is the last one, if any;
+    ``size`` is ``len(words)``.  The chunk's level, ``(stream, n)``, lets the
+    parent fold the one feed of a suite level by level.
     """
-    _, cfg, _, last, words = args
+    stream, cfg, n, last, words = args
     parts = {cid: CheckReport.for_config(cid, cfg) for cid in last}
     ends = {}
     feeds = [(cid, parts[cid], _CHECK_DEFS[cid], last[cid] or "") for cid in last]
@@ -907,50 +911,27 @@ def _run_block(args: tuple) -> tuple[dict, dict, int]:
             part.words_tested += 1
             cdef.evaluate(w, cfg, part)
             ends[cid] = w
-    return parts, ends, len(words)
+    return stream, n, parts, ends, len(words)
 
 
-def _sweep_level(
-    stream: str, ids: tuple, cfg: SweepConfig, n: int, ckpt: _Checkpoint | None, pool
-) -> list[CheckReport]:
-    """One report per check in ``ids`` over the stream's level of length ``n``.
+def _feed(cfg: SweepConfig, opened: list[tuple[str, int, dict]]):
+    """The :func:`_run_block` tasks of every level in ``opened``, in sweep order.
 
-    Each check resumes from its checkpoint record.  The level is enumerated
-    once, here, and cut in stream order into chunks of ``max(16, fed // 2J)``
-    words after ``fed`` words under J ``jobs``, none across a multiple of
-    ``_CHECKPOINT_FLUSH_EVERY``.  ``map`` or ``pool.imap`` runs each chunk as a
-    :func:`_run_block` task with one snapshot of the restored ``last``, and the
-    parts fold in order by :meth:`CheckReport.merge`.  At each such multiple
-    every check past its restored word gets a record, and each a done record
-    at the level's end, so the file is the same under any number of jobs.
+    ``opened`` holds ``(stream, n, restored)`` per level with an open check,
+    ``restored`` being the snapshot of those checks' restored last words that
+    every task of the level carries.  Each level is enumerated once, here, and
+    cut in stream order into chunks of ``max(256, fed // 2J)`` words after
+    ``fed`` of its words under J ``jobs``, none across a multiple of
+    ``_CHECKPOINT_FLUSH_EVERY``.  Under a pool this runs in the pool's
+    task-handler thread, so it reads nothing the parent's fold updates.
     """
-    levels = {cid: CheckReport.for_config(cid, cfg) for cid in ids}
-    resumed = {cid: ckpt.restore(n, lv) if ckpt else (None, False) for cid, lv in levels.items()}
-    last = {cid: word for cid, (word, done) in resumed.items() if not done}  # the open checks
-    restored = dict(last)  # one snapshot for every task: the fold updates ``last``
-    words = iter(_level(stream, cfg.alphabet_size, n, cfg.canonicalize) if last else ())
     every, span = _CHECKPOINT_FLUSH_EVERY, 2 * cfg.jobs
-
-    def tasks():
+    for stream, n, restored in opened:
+        words = iter(_level(stream, cfg.alphabet_size, n, cfg.canonicalize))
         fed = 0
-        while chunk := list(islice(words, min(every - fed % every, max(16, fed // span)))):
+        while chunk := list(islice(words, min(every - fed % every, max(256, fed // span)))):
             fed += len(chunk)
             yield stream, cfg, n, restored, chunk
-
-    folded = 0
-    for parts, ends, size in (pool.imap if pool else map)(_run_block, tasks()):
-        for cid, part in parts.items():
-            levels[cid].merge(part)
-        last.update(ends)
-        folded += size
-        if ckpt is not None and folded % every == 0:
-            for cid in last:
-                if last[cid] != restored[cid]:
-                    ckpt.save(n, levels[cid], last[cid], done=False)
-    if ckpt is not None:
-        for cid in last:
-            ckpt.save(n, levels[cid], last[cid], done=True)
-    return list(levels.values())
 
 
 def run_check(check_id: str, cfg: SweepConfig) -> CheckReport:
@@ -985,21 +966,65 @@ def _canonicalization_mismatches(cfg: SweepConfig) -> list[tuple[str, str]]:
 
 
 def run_suite(cfg: SweepConfig) -> SuiteReport:
-    """Run every configured check in the canonical order, one pass per stream and length."""
+    """Run every configured check in the canonical order, one pass per stream and length.
+
+    Each level, one stream's words of one length, first restores every check
+    of the stream from its checkpoint record; the checks not done there are
+    the level's open checks.  One ``map`` or ``pool.imap`` call then runs
+    :func:`_feed`'s chunks of every level with an open check as
+    :func:`_run_block` tasks, and the parent folds the ordered results level
+    by level with :meth:`CheckReport.merge`.  At each multiple of
+    ``_CHECKPOINT_FLUSH_EVERY`` words of a level every check past its restored
+    word gets a record, and at the level's end each open check a done record,
+    a level without words too, so the file is the same under any number of
+    jobs.  A fold that raises terminates the pool instead of letting it run
+    the rest of the feed.
+    """
     reports = {cid: CheckReport.for_config(cid, cfg) for cid in CHECK_ORDER if cid in cfg.checks}
     swept = [cid for cid in reports if cid in _CHECK_DEFS]
     ckpt = _Checkpoint(cfg) if cfg.checkpoint_path else None
+    plan = {}  # (stream, n) -> the level's reports, its open checks' last words, their snapshot
+    for stream in dict.fromkeys(_CHECK_DEFS[cid].stream for cid in swept):
+        ids = tuple(cid for cid in swept if _CHECK_DEFS[cid].stream == stream)
+        for n in range(1, cfg.max_length + 1):
+            levels = {cid: CheckReport.for_config(cid, cfg) for cid in ids}
+            last = {}
+            for cid, level in levels.items():
+                word, done = ckpt.restore(n, level) if ckpt else (None, False)
+                if not done:
+                    last[cid] = word
+            plan[stream, n] = levels, last, dict(last)  # the fold updates ``last`` only
+    tasks = _feed(cfg, [(s, n, snap) for (s, n), (_, _, snap) in plan.items() if snap])
     pool = multiprocessing.Pool(cfg.jobs) if cfg.jobs > 1 and swept else None
     try:
-        for stream in dict.fromkeys(_CHECK_DEFS[cid].stream for cid in swept):
-            ids = tuple(cid for cid in swept if _CHECK_DEFS[cid].stream == stream)
-            for n in range(1, cfg.max_length + 1):
-                for level in _sweep_level(stream, ids, cfg, n, ckpt, pool):
-                    reports[level.check_id].merge(level)
-    finally:
+        blocks = groupby((pool.imap if pool else map)(_run_block, tasks), key=itemgetter(0, 1))
+        at, block = next(blocks, (None, ()))
+        for (stream, n), (levels, last, restored) in plan.items():
+            if at == (stream, n):
+                folded = 0
+                for _, _, parts, ends, size in block:
+                    for cid, part in parts.items():
+                        levels[cid].merge(part)
+                    last.update(ends)
+                    folded += size
+                    if ckpt is not None and folded % _CHECKPOINT_FLUSH_EVERY == 0:
+                        for cid in last:
+                            if last[cid] != restored[cid]:
+                                ckpt.save(n, levels[cid], last[cid], done=False)
+                at, block = next(blocks, (None, ()))
+            for cid, level in levels.items():
+                if ckpt is not None and cid in last:
+                    ckpt.save(n, level, last[cid], done=True)
+                reports[cid].merge(level)
+    except BaseException:
+        if pool is not None:
+            pool.terminate()  # close() would leave the task handler feeding every queued chunk
+        raise
+    else:
         if pool is not None:
             pool.close()
             pool.join()
+    finally:
         if ckpt is not None:
             ckpt.close()
     mismatches = None

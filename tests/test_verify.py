@@ -911,23 +911,34 @@ class _RecordingPool:
     """A pool that runs each task in-process on its own copy and records the tasks.
 
     Beside each task it keeps a copy of the task's ``last`` as it was when the
-    task was drawn, after the parent had folded every earlier result.
+    task was drawn, after the parent had folded every earlier result.  It
+    counts its ``imap`` calls and names each of its ``close``, ``join`` and
+    ``terminate`` calls in ``ended``.
     """
 
     def __init__(self, jobs):
         self.jobs = jobs
         self.tasks = []
+        self.imaps = 0
+        self.ended = []
 
     def imap(self, fn, tasks):
+        self.imaps += 1
+        return self._run(fn, tasks)
+
+    def _run(self, fn, tasks):
         for task in tasks:
             self.tasks.append((task, dict(task[3])))
             yield fn(pickle.loads(pickle.dumps(task)))
 
     def close(self):
-        pass
+        self.ended.append("close")
 
     def join(self):
-        pass
+        self.ended.append("join")
+
+    def terminate(self):
+        self.ended.append("terminate")
 
 
 def _recording_pools(monkeypatch):
@@ -939,7 +950,7 @@ def _recording_pools(monkeypatch):
         return pools[-1]
 
     def level(stream, k, n, canonicalize):
-        if sys._getframe(1).f_code.co_name == "_sweep_level":  # not the nonprimitive stream's
+        if sys._getframe(1).f_code.co_name == "_feed":  # not the nonprimitive stream's
             levels.append((stream, n))
         return _level(stream, k, n, canonicalize)
 
@@ -976,6 +987,43 @@ def test_jobs_feed_each_level_once_in_ordered_chunks(monkeypatch):
                 fed[stream, m] += words
             for s, m in levels:  # each level's chunks make up that level, in stream order
                 assert fed.get((s, m), []) == list(_level(s, k, m, canonicalize)), (s, m)
+
+
+def test_jobs_run_one_feed_per_suite(monkeypatch):
+    # a suite over three streams makes one imap call, and its results come
+    # back in stream and length order
+    pools, _ = _recording_pools(monkeypatch)
+    checks = frozenset({"bound-5-3", "bound-nonprimitive", "class-parity"})  # one per stream
+    run_suite(SweepConfig(2, 9, checks, jobs=2))
+    (pool,) = pools
+    assert pool.imaps == 1
+    order = [(stream, n) for (stream, _, n, _, _), _ in pool.tasks]
+    levels = list(dict.fromkeys(order))
+    streams = ("necklace", "nonprimitive", "rename")
+    empty = ("nonprimitive", 1)  # the one level that holds no words
+    assert levels == [(s, n) for s in streams for n in range(1, 10) if (s, n) != empty]
+    assert order == sorted(order, key=levels.index)  # each level's chunks are consecutive
+    assert pool.ended == ["close", "join"]
+
+
+def test_failed_sweep_terminates_the_pool(monkeypatch):
+    # an evaluator that raises in mid-suite ends the pool by terminate, without
+    # the join that would wait for every chunk still queued
+    pools, _ = _recording_pools(monkeypatch)
+    evaluate = verify._CHECK_DEFS["class-parity"].evaluate
+
+    def failing(w, cfg, rep):
+        if len(w) == 6:
+            raise RuntimeError("evaluator failed")
+        evaluate(w, cfg, rep)
+
+    cdef = replace(verify._CHECK_DEFS["class-parity"], evaluate=failing)
+    monkeypatch.setitem(verify._CHECK_DEFS, "class-parity", cdef)
+    checks = frozenset({"bound-5-3", "class-parity"})
+    with pytest.raises(RuntimeError, match="evaluator failed"):
+        run_suite(SweepConfig(2, 9, checks, jobs=2))
+    (pool,) = pools
+    assert pool.ended == ["terminate"]
 
 
 def test_jobs_tasks_share_the_restored_snapshot(monkeypatch, tmp_path):
