@@ -1119,13 +1119,42 @@ def check_large_circuit(
 # extremal search
 
 
+def _climb(n: int, letters: str, rng: random.Random):
+    """Yield ``(word, Sq)`` pairs of a steepest-ascent hill climb, forever.
+
+    Each climb starts at a random word and evaluates its single-letter
+    substitutions in (position, letter) order, then moves to the first
+    strictly best neighbour, or restarts when no neighbour beats the word.
+    """
+    while True:
+        w = "".join(rng.choice(letters) for _ in range(n))
+        s = circular_square_count(w)
+        yield w, s
+        while True:
+            cand_count, cand_word = s, w
+            for pos, ch in product(range(n), letters):
+                if ch != w[pos]:
+                    w2 = w[:pos] + ch + w[pos + 1 :]
+                    s2 = circular_square_count(w2)
+                    yield w2, s2
+                    if s2 > cand_count:
+                        cand_count, cand_word = s2, w2
+            if cand_count == s:
+                break
+            s, w = cand_count, cand_word
+
+
 def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> CheckReport:
     """Find a word of length ``n`` over ``k`` letters with many circular squares.
 
-    Exhaustive over canonical representatives when ``k ** n`` fits the
-    budget; otherwise steepest-ascent hill climbing on single-symbol
-    substitutions with seeded random restarts.  The best ratio found must
-    stay within 5/3; whether it passes 5/4 or 3/2 is recorded.
+    When ``k ** n`` fits the budget the search is exhaustive: it sweeps the
+    necklace level (one representative per rotation and renaming class), so
+    ``evaluations`` is that level's size, not ``k ** n``.  Otherwise it
+    hill-climbs (see :func:`_climb`) from seeded random restarts and stops
+    after exactly ``budget`` evaluations, even inside a neighbourhood.  The
+    witness is the least word among those evaluated with the highest count.
+    The best ratio found must stay within 5/3; whether it passes 5/4 or 3/2
+    is recorded.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -1141,56 +1170,23 @@ def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> Che
         seed=seed,
         jobs=1,
     )
-    best_count = -1
-    best_word: str | None = None
-    evaluations = 0
-
-    def consider(word: str, count: int) -> None:
-        nonlocal best_count, best_word
-        if count > best_count or (count == best_count and word < (best_word or word + "a")):
-            best_count, best_word = count, word
-
-    if k**n <= budget:
-        rep.stats["exhaustive"] = 1
-        for w in _level("necklace", k, n, True):
-            evaluations += 1
-            consider(w, circular_square_count(w))
+    exhaustive = k**n <= budget
+    if exhaustive:
+        pairs = ((w, circular_square_count(w)) for w in _level("necklace", k, n, True))
     else:
-        rep.stats["exhaustive"] = 0
-        rng = random.Random(seed)
-        letters = ascii_lowercase[:k]
-        while evaluations < budget:
-            w = "".join(rng.choice(letters) for _ in range(n))
-            s = circular_square_count(w)
-            evaluations += 1
-            consider(w, s)
-            improved = True
-            while improved and evaluations < budget:
-                improved = False
-                cand_count, cand_word = s, w
-                for pos in range(n):
-                    for ch in letters:
-                        if ch == w[pos]:
-                            continue
-                        w2 = w[:pos] + ch + w[pos + 1 :]
-                        s2 = circular_square_count(w2)
-                        evaluations += 1
-                        consider(w2, s2)
-                        if s2 > cand_count:
-                            cand_count, cand_word = s2, w2
-                        if evaluations >= budget:
-                            break
-                    if evaluations >= budget:
-                        break
-                if cand_count > s:
-                    s, w = cand_count, cand_word
-                    improved = True
+        pairs = islice(_climb(n, ascii_lowercase[:k], random.Random(seed)), budget)
+    best_count, best_word, evaluations = -1, "", 0
+    for word, count in pairs:
+        evaluations += 1
+        if count > best_count or (count == best_count and word < best_word):
+            best_count, best_word = count, word
 
     rep.words_tested = evaluations
     rep.max_ratio = Fraction(best_count, n)
     rep.witness = best_word
     if 3 * best_count > 5 * n:
-        rep.violations.append((best_word or "", f"Sq={best_count} exceeds 5n/3 with n={n}"))
+        rep.violations.append((best_word, f"Sq={best_count} exceeds 5n/3 with n={n}"))
+    rep.stats["exhaustive"] = int(exhaustive)
     rep.stats["evaluations"] = evaluations
     rep.stats["best_count"] = best_count
     rep.stats["above_5_4"] = int(4 * best_count > 5 * n)

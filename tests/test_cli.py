@@ -330,6 +330,31 @@ _PINNED_TEXT = [
         ('search', '--max-len', '12', '--budget', '300', '--seed', '3', '--format', 'csv'),
         'witness,ratio,evaluations\r\naaabaabaaaba,5/6,300\r\n',
     ),
+    (
+        ('search', '--max-len', '8', '--alphabet', '3', '--budget', '90', '--seed', '1'),
+        'best abaababb  Sq=6  ratio=3/4  (hill-climbing, 90 evaluations)\n',
+    ),
+    (
+        ('search', '--max-len', '8', '--alphabet', '3', '--budget', '90', '--seed', '1',
+         '--format', 'csv'),
+        'witness,ratio,evaluations\r\nabaababb,3/4,90\r\n',
+    ),
+    (
+        ('search', '--max-len', '12', '--budget', '100', '--seed', '3'),
+        'best aaabaabaaaba  Sq=10  ratio=5/6  (hill-climbing, 100 evaluations)\n',
+    ),
+    (
+        ('search', '--max-len', '10', '--budget', '1024'),
+        'best aababaabab  Sq=9  ratio=9/10  (exhaustive, 56 evaluations)\n',
+    ),
+    (
+        ('search', '--max-len', '10', '--budget', '1023'),
+        'best aababaabab  Sq=9  ratio=9/10  (hill-climbing, 1023 evaluations)\n',
+    ),
+    (
+        ('search', '--max-len', '10', '--budget', '1023', '--format', 'csv'),
+        'witness,ratio,evaluations\r\naababaabab,9/10,1023\r\n',
+    ),
 ]
 
 _PINNED_JSON = [

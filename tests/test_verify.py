@@ -40,6 +40,8 @@ from conftest import (
 )
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 
 def _cfg(check, k, n, **kw):
@@ -1111,7 +1113,7 @@ def test_checkpoint_resume_is_invisible(tmp_path):
     resumed = run_check("bound-5-3", _cfg("bound-5-3", 2, 8, checkpoint_path=path))
     fresh = run_check("bound-5-3", _cfg("bound-5-3", 2, 8))
     assert resumed.to_dict() == fresh.to_dict()
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == 'circsq-checkpoint v3 {"canonicalize": true, "circuit_cap": 1000000}'
     assert any(line.startswith("R bound-5-3 2 8") for line in lines)
     # a lone check's file resumed by a suite that shares its stream
@@ -1408,9 +1410,22 @@ def test_search_hill_climb_is_deterministic_and_bounded():
     assert a.stats["evaluations"] == 400
     assert a.stats["exhaustive"] == 0
     assert a.passed  # never above 5/3
-       # a different seed may find a different witness but obeys the same bound
+    # a different seed may find a different witness but obeys the same bound
     c = search_extremal(16, 2, budget=400, seed=4)
     assert c.passed
+
+
+def test_search_witness_is_the_least_word_at_the_best_count():
+    # the first word found at the best count is not the least one in either case,
+    # so a first-wins reduction fails here
+    for n, budget, seed, ties in ((12, 300, 3, 12), (20, 2000, 0, 4)):
+        pairs = list(islice(verify._climb(n, "ab", random.Random(seed)), budget))
+        best = max(count for _, count in pairs)
+        tied = [w for w, count in pairs if count == best]
+        assert len(set(tied)) == ties and tied[0] != min(tied)
+        rep = search_extremal(n, 2, budget, seed)
+        assert (rep.stats["best_count"], rep.witness) == (best, min(tied))
+        assert rep.stats["evaluations"] == budget
 
 
 def test_search_validates_arguments():
