@@ -105,18 +105,6 @@ __all__ = [
     "circular_square_count",
 ]
 
-CHECK_ORDER = (
-    "bound-5-3",
-    "bound-nonprimitive",
-    "circuit-rank",
-    "class-circuits",
-    "class-parity",
-    "splits",
-    "case-bounds",
-    "count-chain",
-    "large-circuit",
-)
-
 _CHECKPOINT_MAGIC = "circsq-checkpoint v3"
 _CHECKPOINT_FLUSH_EVERY = 2000  # stream words of a level between two records
 _CHECKPOINT_LISTS = ("violations", "flagged", "skipped")
@@ -294,7 +282,7 @@ class SweepConfig:
 
     alphabet_size: int = 2
     max_length: int = 8
-    checks: frozenset[str] = frozenset(CHECK_ORDER)
+    checks: frozenset[str] = field(default_factory=lambda: frozenset(CHECK_ORDER))
     canonicalize: bool = True
     checkpoint_path: str | None = None
     seed: int = 0
@@ -692,6 +680,8 @@ _CHECK_DEFS = {
     "case-bounds": _CheckDef(_eval_case_bounds, "necklace", primitive_only=True),
     "count-chain": _CheckDef(_eval_count_chain, "necklace", primitive_only=True),
 }
+# The swept checks in table order, then the fixed instances run after the sweeps.
+CHECK_ORDER = (*_CHECK_DEFS, "large-circuit")
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +780,6 @@ class _Checkpoint:
         self._saved: dict[tuple[str, int], dict[str, int]] = {}
         self.io_errors = 0
         self._fh = None
-        self._disabled = False
         # How the first write opens the file and what it writes ahead of the
         # first record: a whole new file unless _load finds a usable one.
         self._opening = ("w", self.header + "\n")
@@ -804,14 +793,12 @@ class _Checkpoint:
             return
         except (OSError, UnicodeDecodeError):
             self.io_errors += 1
-            self._disabled = True
             return
         if (self.header + "\n").startswith(text):
             return  # empty, or cut inside its header: no record was ever written
         lines = text.splitlines()
         if lines[0] != self.header:
             self.io_errors += 1
-            self._disabled = True
             return
         # A line cut before its newline must not swallow the next record.
         self._opening = ("a", "" if text.endswith("\n") else "\n")
@@ -835,7 +822,7 @@ class _Checkpoint:
             self.records[key] = data
 
     def _write(self, line: str) -> None:
-        if self._disabled:
+        if self.io_errors:
             return
         try:
             if self._fh is None:
@@ -847,7 +834,6 @@ class _Checkpoint:
             self._fh.flush()
         except OSError:
             self.io_errors += 1
-            self._disabled = True
 
     def close(self) -> None:
         if self._fh is not None:
@@ -1158,18 +1144,9 @@ def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> Che
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if not 1 <= k <= 26:
-        raise ValueError(f"alphabet size {k} out of range 1..26")
+    rep = CheckReport.for_config("search", SweepConfig(k, n, seed=seed))
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rep = CheckReport(
-        check_id="search",
-        alphabet_size=k,
-        max_length=n,
-        canonicalize=True,
-        seed=seed,
-        jobs=1,
-    )
     exhaustive = k**n <= budget
     if exhaustive:
         pairs = ((w, circular_square_count(w)) for w in _level("necklace", k, n, True))

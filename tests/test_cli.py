@@ -701,8 +701,16 @@ def test_search_json_roundtrip(capsys):
 
 
 def test_search_argument_errors_are_usage_errors(capsys):
-    for bad in (["--max-len", "3", "--alphabet", "30"], ["--max-len", "0"],
-                ["--max-len", "3", "--budget", "0"]):
+    # The last two inputs break two checks each: the length is checked
+    # first, then the alphabet, then the budget.
+    cases = [
+        (["--max-len", "3", "--alphabet", "30"], "alphabet size 30 out of range 1..26"),
+        (["--max-len", "0"], "length must be at least 1"),
+        (["--max-len", "3", "--budget", "0"], "budget must be at least 1"),
+        (["--max-len", "0", "--alphabet", "30"], "length must be at least 1"),
+        (["--max-len", "3", "--alphabet", "0", "--budget", "0"],
+         "alphabet size 0 out of range 1..26"),
+    ]
+    for bad, message in cases:
         code, out, err = run_cli(capsys, "search", *bad)
-        assert (code, out) == (2, ""), bad
-        assert err.startswith("circsq: error: ") and "Traceback" not in err, bad
+        assert (code, out, err) == (2, "", f"circsq: error: {message}\n"), bad

@@ -1223,7 +1223,35 @@ def test_checkpoint_io_failure_is_recoverable():
     rep = run_check("bound-5-3", cfg)
     assert rep.passed
     assert rep.words_tested == 9
-    assert rep.stats["checkpoint_errors"] >= 1
+    assert rep.stats["checkpoint_errors"] == 1
+
+
+def test_failed_checkpoint_write_stops_every_later_write(tmp_path, monkeypatch):
+    # the first write raises; the sweep goes on, writes nothing more and
+    # reports the one error on every check
+    attempts = []
+
+    class FailingFile:
+        def write(self, text):
+            attempts.append(text)
+            raise OSError("disk full")
+
+        def close(self):
+            pass
+
+    def failing_open(path, mode="r", **kwargs):
+        if mode == "r":
+            return open(path, mode, **kwargs)
+        return FailingFile()
+
+    monkeypatch.setattr(verify, "open", failing_open, raising=False)
+    cfg = SweepConfig(2, 6, frozenset({"bound-5-3", "class-parity"}))
+    expected = run_suite(cfg).to_dict()
+    got = run_suite(replace(cfg, checkpoint_path=str(tmp_path / "progress.txt"))).to_dict()
+    assert len(attempts) == 1
+    for rep in got["reports"]:
+        assert rep["stats"].pop("checkpoint_errors") == 1
+    assert got == expected
 
 
 def test_checkpoint_kept_with_jobs(tmp_path):
@@ -1389,6 +1417,23 @@ def test_exhaustive_search_matches_brute_force():
             rep = search_extremal(n, k, budget=k**n)
             assert rep.stats["exhaustive"] == 1
             assert (rep.stats["best_count"], rep.witness) == brute_extremal(k, n), (k, n)
+
+
+def test_exhaustive_search_finds_the_known_binary_maxima():
+    # known maxima of Sq([w]) past the brute-force sizes, with the least
+    # witness and the size of the necklace level
+    known = {
+        16: (16, "aabaababaabaabab", 2068),
+        18: (18, "aaaabaaabaaaabaaab", 7316),
+        20: (19, "aaaaabaaaabaaabaaaab", 26272),
+        21: (21, "aababaabababaabababab", 49940),
+    }
+    for n, (best, witness, evaluations) in known.items():
+        rep = search_extremal(n, 2, budget=2**n)
+        assert rep.stats["exhaustive"] == 1
+        got = (rep.stats["best_count"], rep.witness, rep.stats["evaluations"])
+        assert got == (best, witness, evaluations), n
+        assert rep.passed
 
 
 def test_search_unary():
