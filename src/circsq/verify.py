@@ -767,8 +767,10 @@ class _Checkpoint:
     word, then writes a record per open check every ``_CHECKPOINT_FLUSH_EVERY``
     words of a level's stream and one when the level is done, so the file is
     the same under any number of jobs and resumes under any number.  It is
-    read once and written through one handle flushed per record; I/O problems
-    are counted and silence further writes, and the sweep continues.
+    read once and each record is appended by its own open and close, so it is
+    on disk before the sweep goes on; I/O problems are counted and silence
+    further writes, and the sweep continues.  Without a path there is nothing
+    to read and no record is built.
     """
 
     def __init__(self, cfg: SweepConfig) -> None:
@@ -779,11 +781,11 @@ class _Checkpoint:
         # Per (check, length), how many entries of each list the file already holds.
         self._saved: dict[tuple[str, int], dict[str, int]] = {}
         self.io_errors = 0
-        self._fh = None
-        # How the first write opens the file and what it writes ahead of the
-        # first record: a whole new file unless _load finds a usable one.
+        # How the next write opens the file and what it writes ahead of its
+        # record: a whole new file unless _load finds a usable one.
         self._opening = ("w", self.header + "\n")
-        self._load()
+        if self.path:
+            self._load()
 
     def _load(self) -> None:
         try:
@@ -821,24 +823,6 @@ class _Checkpoint:
                     data[name] = prev[name]
             self.records[key] = data
 
-    def _write(self, line: str) -> None:
-        if self.io_errors:
-            return
-        try:
-            if self._fh is None:
-                mode, lead = self._opening
-                self._fh = open(self.path, mode, encoding="ascii")
-                self._fh.write(lead)
-            self._fh.write(line + "\n")
-            # A record counts only once it is on disk: resume reads it back.
-            self._fh.flush()
-        except OSError:
-            self.io_errors += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-
     def restore(self, n: int, level: CheckReport) -> tuple[str | None, bool]:
         """Load the record of length ``n`` into the empty ``level``; return (last word, done)."""
         data = self.records.get((level.check_id, level.alphabet_size, n))
@@ -855,6 +839,8 @@ class _Checkpoint:
         return data["last"], data["done"]
 
     def save(self, n: int, level: CheckReport, last: str | None, done: bool) -> None:
+        if not self.path or self.io_errors:
+            return
         record = {
             "done": done,
             "last": last,
@@ -869,7 +855,15 @@ class _Checkpoint:
             record[name] = entries[saved[name] :]
             saved[name] = len(entries)
         key = f"{level.check_id} {level.alphabet_size} {n}"
-        self._write(f"R {key} {json.dumps(record, sort_keys=True)}")
+        mode, lead = self._opening
+        try:
+            # Closing flushes: a record counts only once it is on disk, as resume reads it back.
+            with open(self.path, mode, encoding="ascii") as fh:
+                fh.write(f"{lead}R {key} {json.dumps(record, sort_keys=True)}\n")
+        except OSError:
+            self.io_errors += 1
+        else:
+            self._opening = ("a", "")
 
 
 # ---------------------------------------------------------------------------
@@ -963,12 +957,14 @@ def run_suite(cfg: SweepConfig) -> SuiteReport:
     ``_CHECKPOINT_FLUSH_EVERY`` words of a level every check past its restored
     word gets a record, and at the level's end each open check a done record,
     a level without words too, so the file is the same under any number of
-    jobs.  A fold that raises terminates the pool instead of letting it run
-    the rest of the feed.
+    jobs.  Every suite has a :class:`_Checkpoint`; without a path it restores
+    and saves nothing.  The pool is terminated however the fold ends: after a
+    fold that finishes it has no work left, and after one that raises it must
+    not run the rest of the feed.
     """
     reports = {cid: CheckReport.for_config(cid, cfg) for cid in CHECK_ORDER if cid in cfg.checks}
     swept = [cid for cid in reports if cid in _CHECK_DEFS]
-    ckpt = _Checkpoint(cfg) if cfg.checkpoint_path else None
+    ckpt = _Checkpoint(cfg)
     plan = {}  # (stream, n) -> the level's reports, its open checks' last words, their snapshot
     for stream in dict.fromkeys(_CHECK_DEFS[cid].stream for cid in swept):
         ids = tuple(cid for cid in swept if _CHECK_DEFS[cid].stream == stream)
@@ -976,7 +972,7 @@ def run_suite(cfg: SweepConfig) -> SuiteReport:
             levels = {cid: CheckReport.for_config(cid, cfg) for cid in ids}
             last = {}
             for cid, level in levels.items():
-                word, done = ckpt.restore(n, level) if ckpt else (None, False)
+                word, done = ckpt.restore(n, level)
                 if not done:
                     last[cid] = word
             plan[stream, n] = levels, last, dict(last)  # the fold updates ``last`` only
@@ -993,29 +989,21 @@ def run_suite(cfg: SweepConfig) -> SuiteReport:
                         levels[cid].merge(part)
                     last.update(ends)
                     folded += size
-                    if ckpt is not None and folded % _CHECKPOINT_FLUSH_EVERY == 0:
+                    if folded % _CHECKPOINT_FLUSH_EVERY == 0:
                         for cid in last:
                             if last[cid] != restored[cid]:
                                 ckpt.save(n, levels[cid], last[cid], done=False)
                 at, block = next(blocks, (None, ()))
             for cid, level in levels.items():
-                if ckpt is not None and cid in last:
+                if cid in last:
                     ckpt.save(n, level, last[cid], done=True)
                 reports[cid].merge(level)
-    except BaseException:
-        if pool is not None:
-            pool.terminate()  # close() would leave the task handler feeding every queued chunk
-        raise
-    else:
-        if pool is not None:
-            pool.close()
-            pool.join()
     finally:
-        if ckpt is not None:
-            ckpt.close()
+        if pool is not None:
+            pool.terminate()  # joins the workers; close() would let them run every queued chunk
     mismatches = None
     for rep in map(reports.get, swept):
-        if ckpt is not None and ckpt.io_errors:
+        if ckpt.io_errors:
             rep.stats["checkpoint_errors"] = ckpt.io_errors
         if cfg.canonicalize and rep.check_id in ("bound-5-3", "bound-nonprimitive"):
             if mismatches is None:

@@ -14,10 +14,6 @@ def words_over(k: int, n: int) -> list[str]:
     return ["".join(t) for t in product("abcdefgh"[:k], repeat=n)]
 
 
-def naive_least_rotation(w: str) -> str:
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
 def lyndon_least_rotation(w: str) -> str:
     """The least rotation of ``w`` from Duval's Lyndon factorization of ``w + w``.
 

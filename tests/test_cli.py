@@ -583,13 +583,29 @@ def test_verify_comma_list_runs_the_fused_suite(capsys):
     assert "unknown check id 'nope'" in err
 
 
-def test_verify_exit_code_tracks_violations():
+def test_verify_exit_code_tracks_violations(capsys, monkeypatch):
     # the exit contract is 1 when any report carries a violation
+    from dataclasses import replace
+
+    from circsq import verify
     from circsq.verify import CheckReport, SuiteReport, SweepConfig
 
     rep = CheckReport.for_config("bound-5-3", SweepConfig())
     rep.violations.append(("ab", "synthetic"))
     assert SuiteReport([rep]).passed is False
+    # one violation found by the sweep sets the verdict line and the exit code
+    cdef = verify._CHECK_DEFS["bound-5-3"]
+
+    def evaluate(w, cfg, rep):
+        cdef.evaluate(w, cfg, rep)
+        if w == "ab":
+            rep.violations.append((w, "synthetic"))
+
+    monkeypatch.setitem(verify._CHECK_DEFS, "bound-5-3", replace(cdef, evaluate=evaluate))
+    code, out, _ = run_cli(capsys, "verify", "--check", "bound-5-3", "--max-len", "4")
+    assert code == 1
+    assert "    violation ab: synthetic" in out.splitlines()
+    assert out.splitlines()[-1] == "1 violation(s)"
 
 
 def test_verify_incomplete_sweep_has_its_own_verdict(capsys):

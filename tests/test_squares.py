@@ -32,7 +32,7 @@ from conftest import (
     brute_circular_squares,
     brute_power_factors,
     brute_squares,
-    naive_least_rotation,
+    lyndon_least_rotation,
     words_over,
 )
 
@@ -144,7 +144,7 @@ def _brute_class_tops(w):
         for j in range(i + 2, n + 1):
             q, k = primitive_root(w[i:j])
             if k >= 2:
-                members.setdefault(naive_least_rotation(q), {})[w[i:j]] = (q, k)
+                members.setdefault(lyndon_least_rotation(q), {})[w[i:j]] = (q, k)
     out = []
     for root in sorted(members, key=lambda r: (len(r), r)):
         tops = {}

@@ -824,6 +824,10 @@ def test_config_validation():
         SweepConfig(checks=frozenset({"bogus"}))
     with pytest.raises(ValueError):
         SweepConfig(jobs=0)
+    with pytest.raises(ValueError, match="max length"):
+        SweepConfig(max_length=0)
+    with pytest.raises(ValueError, match="circuit cap"):
+        SweepConfig(circuit_cap=0)
 
 
 def test_reports_are_deterministic():
@@ -1005,7 +1009,7 @@ def test_jobs_run_one_feed_per_suite(monkeypatch):
     empty = ("nonprimitive", 1)  # the one level that holds no words
     assert levels == [(s, n) for s in streams for n in range(1, 10) if (s, n) != empty]
     assert order == sorted(order, key=levels.index)  # each level's chunks are consecutive
-    assert pool.ended == ["close", "join"]
+    assert pool.ended == ["terminate"]  # after the last result the workers are idle
 
 
 def test_failed_sweep_terminates_the_pool(monkeypatch):
@@ -1170,16 +1174,19 @@ def test_checkpoint_from_another_config_is_not_reused(tmp_path):
     assert rep.stats["checkpoint_errors"] == 1
     assert path.read_text() == written  # neither reused nor appended to
     v2 = (
-        'circsq-checkpoint v2 {"canonicalize": true, "circuit_cap": 1000000}\n'
-        'R bound-5-3 2 1 {"done": true, "flagged": [], "last": "a", "ratio": "0", '
-        '"skipped": [], "stats": {}, "tested": 7, "violations": [], "witness": "a"}\n'
+        b'circsq-checkpoint v2 {"canonicalize": true, "circuit_cap": 1000000}\n'
+        b'R bound-5-3 2 1 {"done": true, "flagged": [], "last": "a", "ratio": "0", '
+        b'"skipped": [], "stats": {}, "tested": 7, "violations": [], "witness": "a"}\n'
     )
-    for old in ("circsq-checkpoint v1\nR bound-5-3 2 1 {}\n", v2):
-        path.write_text(old)
-        rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 4, checkpoint_path=str(path)))
-        assert rep.words_tested == 9
-        assert rep.stats["checkpoint_errors"] == 1
-        assert path.read_text() == old
+    # this config's header, then a byte that is not ASCII: the file cannot be read
+    unreadable = b'circsq-checkpoint v3 {"canonicalize": true, "circuit_cap": 1000000}\n\xff'
+    fresh = run_check("bound-5-3", _cfg("bound-5-3", 2, 4)).to_dict()
+    for old in (b"circsq-checkpoint v1\nR bound-5-3 2 1 {}\n", v2, unreadable):
+        path.write_bytes(old)
+        rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 4, checkpoint_path=str(path))).to_dict()
+        assert rep["stats"].pop("checkpoint_errors") == 1
+        assert rep == fresh
+        assert path.read_bytes() == old
 
 
 def test_checkpoint_record_of_another_shape_is_skipped(tmp_path):
@@ -1202,12 +1209,15 @@ def test_checkpoint_record_of_another_shape_is_skipped(tmp_path):
     ]
     payloads = ["{}", "[]", "5"]
     payloads += [json.dumps({**record, key: value}) for key, value in wrong]
+    lines = [f"R bound-5-3 2 5 {payload}" for payload in payloads]
+    # not a record line: another tag on a payload that would change the report, or too few fields
+    lines += [f"X bound-5-3 2 5 {json.dumps({**record, 'tested': 999})}", "junk"]
     path = tmp_path / "progress.txt"
-    for payload in payloads:
+    for line in lines:
         for text in (header, written):
-            path.write_text(f"{text}R bound-5-3 2 5 {payload}\n")
+            path.write_text(f"{text}{line}\n")
             resumed = run_suite(replace(cfg, checkpoint_path=str(path)))
-            assert resumed.to_json() == fresh, (payload, text)
+            assert resumed.to_json() == fresh, (line, text)
 
 
 def test_checkpoint_rerun_skips_but_reports_identically(tmp_path):
@@ -1236,8 +1246,11 @@ def test_failed_checkpoint_write_stops_every_later_write(tmp_path, monkeypatch):
             attempts.append(text)
             raise OSError("disk full")
 
-        def close(self):
-            pass
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
 
     def failing_open(path, mode="r", **kwargs):
         if mode == "r":
@@ -1254,12 +1267,43 @@ def test_failed_checkpoint_write_stops_every_later_write(tmp_path, monkeypatch):
     assert got == expected
 
 
+def test_no_checkpoint_path_opens_no_file(monkeypatch):
+    # a suite without a checkpoint reads and writes nothing
+    cfg = SweepConfig(2, 6, frozenset({"bound-5-3", "class-parity"}))
+    expected = run_suite(cfg).to_dict()
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("opened a file")
+
+    monkeypatch.setattr(verify, "open", no_open, raising=False)
+    assert run_suite(cfg).to_dict() == expected
+
+
+def test_checkpoint_opens_its_file_once_per_record(tmp_path, monkeypatch):
+    # each record, mid-level or done, is written by one open of its own
+    monkeypatch.setattr(verify, "_CHECKPOINT_FLUSH_EVERY", 5)
+    writes = []
+
+    def counting_open(path, mode="r", **kwargs):
+        if mode != "r":
+            writes.append(mode)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(verify, "open", counting_open, raising=False)
+    path = tmp_path / "progress.txt"
+    checks = frozenset({"bound-5-3", "class-parity"})
+    run_suite(SweepConfig(2, 6, checks, checkpoint_path=str(path)))
+    records = [line for line in path.read_text().splitlines() if line.startswith("R ")]
+    assert any('"done": false' in line for line in records)
+    assert writes == ["w"] + ["a"] * (len(records) - 1)
+
+
 def test_checkpoint_kept_with_jobs(tmp_path):
     # two jobs keep the checkpoint: the file is written and the report is the
     # one-job report
     path = tmp_path / "progress.txt"
     rep = run_check("bound-5-3", _cfg("bound-5-3", 2, 5, checkpoint_path=str(path), jobs=2))
-    assert "checkpoint_disabled" not in rep.stats
+    assert "checkpoint_errors" not in rep.stats
     assert path.exists()
     got, solo = rep.to_dict(), run_check("bound-5-3", _cfg("bound-5-3", 2, 5)).to_dict()
     got["config"]["jobs"] = 1
