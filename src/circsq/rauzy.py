@@ -6,9 +6,10 @@ from its prefix to its suffix.  The public :class:`RauzyGraph` holds factor
 strings, edges sorted; :func:`build_rauzy_graph` validates the word and the
 order and cuts one graph.  :class:`RauzyGraph` and :class:`Circuit` have one
 constructor each, which validates and normalizes.  Only the CLI and the tests
-build a :class:`RauzyGraph`, so no sweep pays for that; the ``splits`` and
-``case-bounds`` sweeps do build a :class:`Circuit` for each circuit that
-:func:`decompose_split` pops from a word.
+build a :class:`RauzyGraph`, so no sweep pays for that; the ``splits`` sweep
+does build a :class:`Circuit` for each circuit that :func:`decompose_split`
+pops from a word, and ``case-bounds`` for each circuit of a word its case
+screen leaves open.
 
 The sweeps read a private integer route instead: ``_index_graphs`` cuts
 every order's graph straight from the word, vertices and edges numbered in

@@ -18,7 +18,10 @@ Available check ids (run one or all over a :class:`SweepConfig`):
 - ``splits``: split decompositions are edge-disjoint and sum to the root
   length, and never happen within one order of the root length.
 - ``case-bounds``: classify each primitive word by how its circuit family
-  splits and assert the bound that classification implies.
+  splits and assert the bound that classification implies.  Case 1 (split
+  point at most n/2) is settled by one set of circular windows of length
+  n // 2 + 1, on the word and then on its long circuit's root; only a word
+  that fails a screen reads split points and circuits.
 - ``count-chain``: on the doubled word, short-rooted power counts equal the
   realized small circuits (read from each class's reach) and are dominated
   by the total independence capacity, itself at most 2n.
@@ -586,28 +589,44 @@ def _case_by_root(qlen: int, n: int) -> tuple[str, tuple[int, int]]:
     return "unclassified", (1, 0)
 
 
+def _splits_by_half(p: str, n: int) -> bool:
+    """Whether primitive ``p`` has split point ``m`` with ``m is None or 2m <= n``.
+
+    The split point is the longest common prefix of two rotations of ``p``
+    repeated forever, so it is at most ``n // 2`` exactly when the ``len(p)``
+    circular windows of length ``n // 2 + 1`` are all distinct.
+    """
+    l = len(p)
+    span = n // 2 + 1
+    ring = p * ((span - 1) // l + 2)
+    return len({ring[i : i + span] for i in range(l)}) == l
+
+
 def _classify_case(w: str) -> tuple[str, tuple[int, int]]:
     """Which split shape ``w`` has and the (multiplier, bound) pair to assert.
 
     Returns a label and ``(a, b)`` such that the word must satisfy
     ``a * Sq <= b * n``.  Ties on the n/2 and n/4 thresholds go to the
-    stricter bound.  ``w`` is a primitive sweep word, and so is each circuit
-    root, so split points and circuits come straight from this module's
-    split memos, without revalidation.
+    stricter bound.  Case 1 (a split point of ``None`` or at most n/2) is
+    screened from one window set, first on ``w`` and then on the long
+    circuit's root ``q1``; only a word or root that fails its screen has its
+    split point computed.  ``w`` is a primitive sweep word, and so is each
+    circuit root, so split points and circuits come straight from this
+    module's split memos, without revalidation.
     """
     n = len(w)
-    m = _split_point(w)
-    if m is None or 2 * m <= n:
+    if _splits_by_half(w, n):
         return "case1", (2, 3)
+    m = _split_point(w)
     parts = _split_circuits(w, m)
     if len(parts) > 2:
         return _case_by_root(min(c.length for c in parts), n)
     parts = sorted(parts, key=lambda c: (-c.length, c.edges))
     q1 = circuit_root(parts[0])
     q2_len = parts[1].length
-    m1 = _split_point(q1)
-    if m1 is None or 2 * m1 <= n:
+    if _splits_by_half(q1, n):
         return "case1", (2, 3)
+    m1 = _split_point(q1)
     lengths = [c.length for c in _split_circuits(q1, m1)] + [q2_len]
     return _case_by_root(min(lengths), n)
 

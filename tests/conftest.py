@@ -74,6 +74,35 @@ def window_split_point(p: str) -> int | None:
     return m
 
 
+def split_point_case(w: str) -> tuple[str, tuple[int, int]]:
+    """The case label and (multiplier, bound) pair of primitive ``w``, read from
+    split points alone: the split point of ``w``, then that of the long circuit's
+    root, each compared with n/2, with no window screen in front."""
+    from circsq.rauzy import circuit_root, decompose_split, split_point
+
+    n = len(w)
+
+    def by_root(qlen: int) -> tuple[str, tuple[int, int]]:
+        if 4 * qlen <= n:
+            return "case2", (8, 13)
+        if 3 * qlen <= n:
+            return "case3", (3, 5)
+        return "unclassified", (1, 0)
+
+    m = split_point(w)
+    if m is None or 2 * m <= n:
+        return "case1", (2, 3)
+    parts = decompose_split(w, m)
+    if len(parts) > 2:
+        return by_root(min(c.length for c in parts))
+    parts = sorted(parts, key=lambda c: (-c.length, c.edges))
+    q1 = circuit_root(parts[0])
+    m1 = split_point(q1)
+    if m1 is None or 2 * m1 <= n:
+        return "case1", (2, 3)
+    return by_root(min([c.length for c in decompose_split(q1, m1)] + [parts[1].length]))
+
+
 def brute_extremal(k: int, n: int) -> tuple[int, str]:
     """The most distinct circular squares of any word of length ``n`` over ``k``
     letters, and the lexicographically least word that has that many."""

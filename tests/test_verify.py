@@ -35,6 +35,7 @@ from conftest import (
     linear_class_reach,
     naive_circuits,
     small_circuit_total,
+    split_point_case,
     window_split_point,
     words_over,
 )
@@ -686,6 +687,58 @@ def test_case_classification_split_routes():
     assert _classify_case("aabaabaabab") == ("case3", (3, 5))
 
 
+def _late_splitters(words):
+    """Each word, then each long circuit root of a two-circuit split, whose
+    split point m (grown window set by window set) is past half the word:
+    ``2m > n``.  These are the arguments the case screen cannot settle."""
+
+    def late(p, n):
+        m = window_split_point(p)
+        return m is not None and 2 * m > n
+
+    out = []
+    for w in words:
+        n = len(w)
+        if not late(w, n):
+            continue
+        out.append(w)
+        parts = rauzy.decompose_split(w, window_split_point(w))
+        if len(parts) == 2:
+            q1 = rauzy.circuit_root(min(parts, key=lambda c: (-c.length, c.edges)))
+            if late(q1, n):
+                out.append(q1)
+    return out
+
+
+def test_case_screen_matches_both_split_points():
+    # the one-window-set screen against the sorted-rotation split point and
+    # the window-set one, at every threshold from len(p) (the word itself)
+    # to 2 len(p) + 1 (a circuit root under a longer word)
+    from circsq.verify import _iter_necklaces, _splits_by_half
+
+    cases = 0
+    for k, top in ((2, 16), (3, 10), (4, 8)):
+        for n in range(1, top + 1):
+            for p in filter(is_primitive, _iter_necklaces(k, n)):
+                m = rauzy._split_point(p)
+                assert window_split_point(p) == m, p
+                for t in range(n, 2 * n + 2):
+                    assert _splits_by_half(p, t) == (m is None or 2 * m <= t), (p, t)
+                    cases += 1
+    assert cases == 97_317
+
+
+def test_case_classification_matches_the_split_point_route():
+    # the screened classification against split points alone, on every
+    # primitive binary necklace to 16 and ternary one to 10
+    from circsq.verify import _classify_case, _iter_necklaces
+
+    for k, top in ((2, 16), (3, 10)):
+        for n in range(1, top + 1):
+            for w in filter(is_primitive, _iter_necklaces(k, n)):
+                assert _classify_case(w) == split_point_case(w), w
+
+
 def test_case_classification_matches_the_window_set_split_point(monkeypatch):
     # every primitive binary necklace to 14, classified once with the sorted
     # rotations and once with split points grown window set by window set
@@ -698,9 +751,41 @@ def test_case_classification_matches_the_window_set_split_point(monkeypatch):
     asked = set()
     monkeypatch.setattr(rauzy, "_split_point", lambda p: asked.add(p) or window_split_point(p))
     assert [_classify_case(w) for w in words] == expected
-    assert asked.issuperset(words)  # the classification reads the patched route
+    # the patched route is asked for exactly what the case screen leaves open
+    assert asked == set(_late_splitters(words))
     verify._split_point.cache_clear()
     verify._split_circuits.cache_clear()
+
+
+def test_case_bounds_sweep_screens_before_any_split_point(monkeypatch):
+    # a case-bounds sweep computes a split point only for a word or a long
+    # circuit root that the window screen leaves open: 251 words and 44 roots
+    # of the 1,280 primitive binary necklaces to 14
+    from circsq.verify import _iter_necklaces
+
+    words = [w for n in range(1, 15) for w in _iter_necklaces(2, n) if is_primitive(w)]
+    late = _late_splitters(words)
+    assert (len(words), len(late), len(set(words) & set(late))) == (1280, 295, 251)
+    calls = []
+    split_point = rauzy._split_point
+    monkeypatch.setattr(rauzy, "_split_point", lambda p: calls.append(p) or split_point(p))
+    verify._split_point.cache_clear()
+    rep = run_check("case-bounds", _cfg("case-bounds", 2, 14))
+    verify._split_point.cache_clear()
+    assert rep.stats == {"case1": 1235, "case2": 43, "case3": 2}
+    assert calls == late
+
+
+def test_case_bounds_reports_are_pinned_with_case_3():
+    # sizes whose case-bounds sweeps reach case 3 (binary) and case 2 (ternary)
+    for (k, n), expected in {
+        (2, 16): (4419, {"case1": 4321, "case2": 93, "case3": 5}),
+        (3, 10): (1588, {"case1": 1579, "case2": 9}),
+    }.items():
+        rep = run_check("case-bounds", _cfg("case-bounds", k, n))
+        assert (rep.words_tested, rep.stats) == expected, (k, n)
+        assert not (rep.violations or rep.flagged or rep.skipped), (k, n)
+        assert (rep.max_ratio, rep.witness) == (None, None), (k, n)
 
 
 def test_split_checks_share_one_split_memo(monkeypatch):
