@@ -58,10 +58,12 @@ pool, and compute a shared fact once per word.  A sweep can checkpoint, at
 one cadence under any number of jobs, to a line-oriented file whose v3
 header fingerprints its config.  Each per-word evaluator writes straight
 into the :class:`CheckReport` of the chunk it sweeps: it appends violations,
-flagged entries and a word its circuit cap skipped, offers its ratio as the
-witness, and adds to stats through :meth:`CheckReport.count`.  Chunks, restored
-levels and built-in instances are all :class:`CheckReport` values folded by
-:meth:`CheckReport.merge`.
+flagged entries and a word its circuit cap skipped, offers its ratio and word
+to the witness, and adds to stats through :meth:`CheckReport.count`.  Chunks,
+restored levels and built-in instances are all :class:`CheckReport` values
+folded by :meth:`CheckReport.merge`.  One rule, :meth:`CheckReport._offer`,
+picks every witness, the extremal search's too: the least (length, word) at
+the greatest ratio, whatever the order the words and reports come in.
 """
 
 from __future__ import annotations
@@ -323,7 +325,11 @@ def resolve_checks(selector: str) -> frozenset[str]:
 
 @dataclass
 class CheckReport:
-    """Outcome of one check: counts, violations, and the extremal witness."""
+    """Outcome of one check: counts, violations, and the extremal witness.
+
+    The witness is the least ``(len(word), word)`` among the words offered at
+    the greatest ratio, ``max_ratio``; see :meth:`_offer`.
+    """
 
     check_id: str
     alphabet_size: int
@@ -359,7 +365,11 @@ class CheckReport:
         self.stats[key] = self.stats.get(key, 0) + val
 
     def merge(self, other: "CheckReport") -> None:
-        """Fold in a report over words that come after this one's in stream order."""
+        """Fold in a report over words that come after this one's in stream order.
+
+        Lists are concatenated and stats summed in that order; the witness is
+        offered through :meth:`_offer`, so it does not depend on the order.
+        """
         self.words_tested += other.words_tested
         self.violations.extend(other.violations)
         self.flagged.extend(other.flagged)
@@ -371,12 +381,16 @@ class CheckReport:
             self.count(key, val)
 
     def _offer(self, s: int, n: int, word: str) -> None:
-        # Only a strictly greater ratio s/n replaces the witness, so the first
-        # witness in stream order wins and --jobs N agrees with --jobs 1; the
-        # Fraction is built only when it wins.
+        # The one witness rule: the greatest ratio s/n wins, and among equal
+        # ratios the least (len(word), word), so the witness is the same in
+        # any fold order and --jobs N agrees with --jobs 1.  The Fraction is
+        # built only for a greater ratio.
         r = self.max_ratio
-        if r is None or s * r.denominator > r.numerator * n:
+        d = 1 if r is None else s * r.denominator - r.numerator * n  # the sign of s/n - r
+        if d > 0:
             self.max_ratio, self.witness = Fraction(s, n), word
+        elif d == 0 and (len(word), word) < (len(self.witness), self.witness):
+            self.witness = word
 
     def to_dict(self) -> dict:
         return {
@@ -620,14 +634,13 @@ def _classify_case(w: str) -> tuple[str, tuple[int, int]]:
     m = _split_point(w)
     parts = _split_circuits(w, m)
     if len(parts) > 2:
-        return _case_by_root(min(c.length for c in parts), n)
-    parts = sorted(parts, key=lambda c: (-c.length, c.edges))
-    q1 = circuit_root(parts[0])
-    q2_len = parts[1].length
+        return _case_by_root(parts[0].length, n)  # parts come sorted by (length, edges)
+    short, long = parts
+    q1 = circuit_root(long if long.length > short.length else short)
     if _splits_by_half(q1, n):
         return "case1", (2, 3)
     m1 = _split_point(q1)
-    lengths = [c.length for c in _split_circuits(q1, m1)] + [q2_len]
+    lengths = [c.length for c in _split_circuits(q1, m1)] + [short.length]
     return _case_by_root(min(lengths), n)
 
 
@@ -742,7 +755,10 @@ def _level(stream: str, k: int, n: int, canonicalize: bool):
 
 
 def _is_record(data: object) -> bool:
-    """True when ``data`` holds every checkpoint record key, each with a value of its type."""
+    """True when ``data`` holds every checkpoint record key, each with a value of its type.
+
+    ``ratio`` and ``witness`` are both null or both set.
+    """
     if not isinstance(data, dict) or not _CHECKPOINT_KEYS <= data.keys():
         return False
     if type(data["tested"]) is not int or type(data["done"]) is not bool:
@@ -759,6 +775,8 @@ def _is_record(data: object) -> bool:
         return False
     optional = (data["last"], data["ratio"], data["witness"])
     if not all(x is None or isinstance(x, str) for x in optional):
+        return False
+    if (data["ratio"] is None) != (data["witness"] is None):
         return False
     if data["ratio"] is not None:
         try:
@@ -780,8 +798,8 @@ class _Checkpoint:
     previous record.  The last valid record per key wins and the lists of all
     valid records of the key are concatenated in file order, so a sweep killed
     mid-write resumes to the uninterrupted report; a payload that is not a
-    JSON object holding every record key, each with a value of its type, is
-    skipped like a torn one.  Only the parent process reads and writes the
+    JSON object holding every record key, each with a value of its type and a
+    ratio only with its witness, is skipped like a torn one.  Only the parent process reads and writes the
     file: :func:`run_suite` restores every level before it feeds the first
     word, then writes a record per open check every ``_CHECKPOINT_FLUSH_EVERY``
     words of a level's stream and one when the level is done, so the file is
@@ -1144,10 +1162,11 @@ def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> Che
     necklace level (one representative per rotation and renaming class), so
     ``evaluations`` is that level's size, not ``k ** n``.  Otherwise it
     hill-climbs (see :func:`_climb`) from seeded random restarts and stops
-    after exactly ``budget`` evaluations, even inside a neighbourhood.  The
-    witness is the least word among those evaluated with the highest count.
-    The best ratio found must stay within 5/3; whether it passes 5/4 or 3/2
-    is recorded.
+    after exactly ``budget`` evaluations, even inside a neighbourhood.  Either
+    stream of ``(word, Sq)`` pairs is offered to the report, so the witness is
+    the least word at the greatest count, by :meth:`CheckReport._offer`'s
+    rule.  The best ratio found must stay within 5/3; whether it passes 5/4
+    or 3/2 is recorded.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -1159,19 +1178,15 @@ def search_extremal(n: int, k: int, budget: int = 100_000, seed: int = 0) -> Che
         pairs = ((w, circular_square_count(w)) for w in _level("necklace", k, n, True))
     else:
         pairs = islice(_climb(n, ascii_lowercase[:k], random.Random(seed)), budget)
-    best_count, best_word, evaluations = -1, "", 0
     for word, count in pairs:
-        evaluations += 1
-        if count > best_count or (count == best_count and word < best_word):
-            best_count, best_word = count, word
+        rep.words_tested += 1
+        rep._offer(count, n, word)
 
-    rep.words_tested = evaluations
-    rep.max_ratio = Fraction(best_count, n)
-    rep.witness = best_word
+    best_count = int(rep.max_ratio * n)
     if 3 * best_count > 5 * n:
-        rep.violations.append((best_word, f"Sq={best_count} exceeds 5n/3 with n={n}"))
+        rep.violations.append((rep.witness, f"Sq={best_count} exceeds 5n/3 with n={n}"))
     rep.stats["exhaustive"] = int(exhaustive)
-    rep.stats["evaluations"] = evaluations
+    rep.stats["evaluations"] = rep.words_tested
     rep.stats["best_count"] = best_count
     rep.stats["above_5_4"] = int(4 * best_count > 5 * n)
     rep.stats["above_3_2"] = int(2 * best_count > 3 * n)

@@ -156,10 +156,20 @@ def test_necklace_stream_increases_through_its_own_forms():
         assert all(necklace_form(w) == w for w in words), (k, n)
 
 
+def test_every_stream_level_strictly_increases():
+    # each report folds a level's words in this order, so the first word at
+    # a ratio is also the least one, and a checkpoint resumes past ``last``
+    for k, top in ((2, 12), (3, 8)):
+        for n in range(1, top + 1):
+            for stream in ("necklace", "rename", "nonprimitive"):
+                for canonicalize in (True, False):
+                    words = list(_level(stream, k, n, canonicalize))
+                    assert all(u < v for u, v in zip(words, words[1:])), (stream, k, n)
+
+
 def test_nonprimitive_stream():
     items = _iter_nonprimitive(2, 8, canonicalize=True)
     assert all(not is_primitive(w) for w in items)
-    assert items == sorted(items)
     raw = _iter_nonprimitive(2, 8, canonicalize=False)
     expected = {w for w in words_over(2, 8) if not is_primitive(w)}
     assert set(raw) == expected
@@ -1276,8 +1286,9 @@ def test_checkpoint_from_another_config_is_not_reused(tmp_path):
 
 def test_checkpoint_record_of_another_shape_is_skipped(tmp_path):
     # valid JSON that is not a record object, or a record with a value of the
-    # wrong type, is skipped like a torn record, alone or after a valid record
-    # of the same level, and the sweep reports what a fresh run reports
+    # wrong type or a ratio without its witness (or the reverse), is skipped
+    # like a torn record, alone or after a valid record of the same level, and
+    # the sweep reports what a fresh run reports
     cfg = _cfg("bound-5-3", 2, 5)
     fresh = run_suite(cfg).to_json()
     whole = tmp_path / "whole.txt"
@@ -1291,6 +1302,7 @@ def test_checkpoint_record_of_another_shape_is_skipped(tmp_path):
         ("flagged", [["w"]]), ("violations", [["w", 5]]), ("skipped", [5]),
         ("stats", []), ("stats", {"x": "1"}), ("stats", {"x": True}),
         ("last", 5), ("ratio", 1.5), ("ratio", "x"), ("ratio", "1/0"), ("witness", []),
+        ("witness", None), ("ratio", None),
     ]
     payloads = ["{}", "[]", "5"]
     payloads += [json.dumps({**record, key: value}) for key, value in wrong]
@@ -1512,8 +1524,9 @@ def test_report_for_config_echo():
     assert rep.seed == 5
 
 
-def test_witness_moves_only_on_a_strictly_greater_ratio():
-    # the first witness in stream order keeps an equal ratio, offered or merged
+def test_witness_is_the_least_word_at_the_greatest_ratio():
+    # a greater ratio always wins; an equal one keeps the least (length, word),
+    # offered or merged, in any order
     rep = CheckReport.for_config("probe", SweepConfig())
     rep._offer(2, 4, "aabb")
     rep._offer(3, 6, "aaabbb")
@@ -1525,6 +1538,29 @@ def test_witness_moves_only_on_a_strictly_greater_ratio():
     rep.merge(tie)
     rep.merge(CheckReport.for_config("probe", SweepConfig()))
     assert (rep.max_ratio, rep.witness) == (Fraction(4, 7), "aabaabb")
+    # equal ratio and length, offered in descending order
+    desc = CheckReport.for_config("probe", SweepConfig())
+    for w in ("abba", "abab", "aabb"):
+        desc._offer(2, 4, w)
+    assert (desc.max_ratio, desc.witness) == (Fraction(1, 2), "aabb")
+    # a longer word first, then a shorter one at the same ratio
+    longer = CheckReport.for_config("probe", SweepConfig())
+    longer._offer(3, 6, "aaabbb")
+    longer._offer(2, 4, "abab")
+    assert (longer.max_ratio, longer.witness) == (Fraction(1, 2), "abab")
+    # the (2,12) level's chunk reports: its three words at Sq = 10 fall in two
+    # chunks, and the witness is the least of them whichever way they merge
+    cfg = _cfg("bound-5-3", 2, 12)
+    words = list(_level("necklace", 2, 12, True))
+    chunks = [words[i : i + 32] for i in range(0, len(words), 32)]
+    parts = [verify._run_block(("necklace", cfg, 12, {"bound-5-3": None}, c))[2] for c in chunks]
+    witnesses = set()
+    for order in (parts, parts[::-1]):
+        level = CheckReport.for_config("bound-5-3", cfg)
+        for part in order:
+            level.merge(part["bound-5-3"])
+        witnesses.add((level.max_ratio, level.witness))
+    assert witnesses == {(Fraction(10, 12), "aaaabaaabaab")}
 
 
 # ---------------------------------------------------------------------------
